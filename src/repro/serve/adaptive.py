@@ -15,9 +15,9 @@ and ``max_delay_s`` (deep coalescing under sustained load):
 
     delay = floor + (cap - floor) * ewma_fill
 
-The controller is read/written only by the batcher's worker thread, so
-it needs no lock; ``snapshot()`` reads are racy-but-atomic floats, fine
-for monitoring.
+The controller is written only under the batcher's flush lock, so it
+needs no lock of its own; ``snapshot()`` reads are racy-but-atomic
+floats, fine for monitoring.
 """
 
 from __future__ import annotations

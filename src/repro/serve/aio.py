@@ -4,9 +4,12 @@ The threaded client story (one blocking ``future.result()`` per
 request) needs a thread per concurrent client — exactly the
 thread-per-connection pattern the microbatcher was built to absorb, and
 at hundreds of clients the GIL spends more time context-switching than
-serving.  :class:`AsyncPolicyClient` drives the *same* batcher from a
-single event loop: submissions land on the same queue, and completions
-resolve awaitables instead of waking threads.
+serving.  :class:`AsyncPolicyClient` drives the same batcher from a
+single event loop.  On a :class:`~repro.serve.server.PolicyServer` its
+submissions are batched on the client's own loop and flushed there at
+the end of the loop turn, so coroutines are predicted and resumed with
+no cross-thread wake-up; the cluster tier's dispatcher still takes them
+on its own thread (its flush writes to shard pipes and sockets).
 
 Works over anything with the server surface — a
 :class:`~repro.serve.server.PolicyServer` or a

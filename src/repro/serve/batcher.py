@@ -2,11 +2,30 @@
 
 The same trick that made DAgger rollout collection 6.4x faster (one
 ``act_greedy_batch`` per step across all live episodes, PR 2) applied at
-the serving boundary: concurrent single-state requests queue up, a
-dedicated worker drains them into one ``predict_batch`` call per model
-per flush, and completes each request's future individually.
+the serving boundary: concurrent single-state requests are gathered into
+one ``predict_batch`` call per model per flush, and each request's
+future completes individually.
 
-Flush policy (the two standard knobs):
+Where a flush runs depends on the caller:
+
+* **event-loop callers** — ``submit`` on a thread that is running an
+  asyncio loop adds the request to that loop's pending batch.  The
+  batch's first request schedules one ``loop.call_soon``, which flushes
+  the batch on the loop thread at the end of the loop turn,
+  ``max_batch`` requests at a time, with no ``max_delay_s`` wait.  A
+  closed loop of coroutines is thus gathered, predicted and resolved
+  with no cross-thread wake-up.
+* **thread callers** — the request goes on a queue that one batcher
+  thread drains under the flush policy below.
+
+The batcher thread is also the loop batches' safety net: a loop batch
+still pending ``ADOPT_AFTER_S`` after it opened (its loop is blocked in
+a synchronous ``.result()``, stopped or closed) is flushed by the
+batcher thread instead.  Every flush, on whichever thread, holds one
+flush lock, so metrics, the adaptive delay, the splitter and capture see
+one flush at a time.
+
+Flush policy on the batcher thread (the two standard knobs):
 
 * ``max_batch`` — flush as soon as this many requests are gathered;
 * ``max_delay_s`` — flush when the *oldest* gathered request has waited
@@ -25,8 +44,8 @@ Two optional request-path extensions (both off by default):
   a shadow version whose answers are recorded for fidelity comparison
   but never returned to a client future.
 
-Robustness at the boundary (the batcher thread must survive anything a
-request can throw at it):
+Robustness at the boundary (a flush must survive anything a request can
+throw at it):
 
 * mis-shaped / non-numeric / non-finite states are rejected per request
   with a structured :class:`ServeResult` error — they never reach numpy
@@ -34,13 +53,14 @@ request can throw at it):
   future;
 * a ``predict_batch`` that raises fails only the requests of that batch
   group, again structurally;
-* ``close()`` flushes everything still queued before returning — no
-  future is ever dropped.
+* ``close()`` flushes everything still queued or loop-batched before
+  returning — no future is ever dropped.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import queue
 import threading
 import time
@@ -107,9 +127,17 @@ class _Request:
 
 _STOP = object()
 
+#: The batcher thread's idle poll, and the age at which it adopts a loop
+#: batch whose own loop has not flushed it.
+ADOPT_AFTER_S = 0.05
+
 
 class MicroBatcher:
-    """Single worker thread draining a request queue into batched predicts.
+    """Gathers single-state requests into batched predicts.
+
+    Requests submitted on a running asyncio loop are batched per loop
+    and flushed on that loop; every other request goes through the
+    queue one batcher thread drains (see the module docstring).
 
     Args:
         registry: model registry requests are resolved against (once per
@@ -132,6 +160,12 @@ class MicroBatcher:
             present the batcher records flush counts and flush-size
             distribution into it.
     """
+
+    #: Whether requests submitted on a running event loop are flushed
+    #: on that loop.  A subclass whose flush blocks (the cluster
+    #: dispatcher writes to pipes and sockets) turns it off, so all its
+    #: requests take the batcher thread and never stall a client loop.
+    flush_on_loop = True
 
     def __init__(
         self,
@@ -178,8 +212,15 @@ class MicroBatcher:
         self._closed = False
         # Guards the closed-flag/enqueue pair: submit must win or lose
         # against close() atomically, so an accepted request is always
-        # enqueued before the stop sentinel (zero dropped futures).
+        # enqueued before the stop sentinel (zero dropped futures).  It
+        # also guards the loop batches and their request count.
         self._submit_lock = threading.Lock()
+        self._loop_batches: Dict[Any, List[_Request]] = {}
+        self._loop_pending = 0
+        # Held by every flush, on whichever thread runs it.  A loop
+        # batch is only ever popped under it and flushed before it is
+        # released, so close() can wait out a loop flush in progress.
+        self._flush_lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
 
     # -- client side -----------------------------------------------------
@@ -187,35 +228,55 @@ class MicroBatcher:
         if self._thread is not None:
             return self
         self._thread = threading.Thread(
-            target=self._loop, name="repro-serve-batcher", daemon=True
+            target=self._run, name="repro-serve-batcher", daemon=True
         )
         self._thread.start()
         return self
 
     def submit(self, model: str, state: Any) -> "Future[ServeResult]":
-        """Enqueue one request; the returned future resolves to a
-        :class:`ServeResult` (never an exception — errors are data)."""
+        """Accept one request; the returned future resolves to a
+        :class:`ServeResult` (never an exception — errors are data).
+
+        On a thread running an asyncio loop the request joins that
+        loop's batch, flushed on the loop at the end of its turn; a
+        blocking ``.result()`` there waits for the batcher thread to
+        adopt the batch (up to ``ADOPT_AFTER_S``).  From any other
+        thread it goes on the batcher thread's queue.
+        """
         request = _Request(model=model, state=state)
         if self.tracer is not None and self.tracer.enabled:
             request.trace = self.tracer.maybe_start(
                 model, now=request.enqueued
             )
+        # Returns None rather than raising when no loop is running.
+        loop = asyncio._get_running_loop() if self.flush_on_loop else None
+        opened = False
         with self._submit_lock:
             if self._closed:
                 raise RuntimeError(
                     "MicroBatcher is closed: submit() after close() "
                     "would enqueue a future that can never resolve"
                 )
-            self._queue.put(request)
+            if loop is None:
+                self._queue.put(request)
+            else:
+                batch = self._loop_batches.get(loop)
+                if batch is None:
+                    batch = self._loop_batches[loop] = []
+                    opened = True
+                batch.append(request)
+                self._loop_pending += 1
+        if opened:
+            loop.call_soon(self._flush_loop_batch, loop)
         return request.future
 
     def submit_async(self, model: str, state: Any) -> "asyncio.Future":
-        """Asyncio submission path: same queue, same worker, no thread
-        per client.
+        """Asyncio submission path: no thread per client.
 
         Must be called with an event loop running (it binds the wrapped
-        future to it); ``await`` the result like any coroutine.  Raises
-        the same ``RuntimeError`` as :meth:`submit` once closed.
+        future to it); the request joins that loop's batch (see
+        :meth:`submit`), and ``await`` gives its result.  Raises the
+        same ``RuntimeError`` as :meth:`submit` once closed.
         """
         return asyncio.wrap_future(self.submit(model, state))
 
@@ -224,17 +285,19 @@ class MicroBatcher:
         return self._closed
 
     def queue_depth(self) -> int:
-        """Requests accepted but not yet gathered into a flush.
+        """Requests accepted but not yet gathered into a flush: the
+        batcher thread's queue plus every pending loop batch.
 
-        An approximate, lock-free reading (``SimpleQueue.qsize``) —
-        good enough for the load signals it feeds (adaptive-delay
-        observation, cluster autoscaling), not a synchronization
-        primitive.
+        An approximate, lock-free reading — good enough for the load
+        signals it feeds (adaptive-delay observation, cluster
+        autoscaling), not a synchronization primitive.
         """
-        return self._queue.qsize()
+        return self._queue.qsize() + self._loop_pending
 
     def close(self) -> None:
-        """Stop the worker; every already-submitted request completes."""
+        """Stop the worker; every already-submitted request completes,
+        loop batches included (a loop flush in progress is waited
+        out)."""
         with self._submit_lock:
             if self._closed:
                 return
@@ -253,20 +316,26 @@ class MicroBatcher:
         self.close()
 
     # -- worker side -----------------------------------------------------
-    def _loop(self) -> None:
+    def _run(self) -> None:
         while True:
             batch, saw_stop = self._gather()
             if batch:
-                self._flush(batch)
+                with self._flush_lock:
+                    self._flush_chunks(batch)
             if saw_stop:
                 self._drain_remaining()
                 return
+            if self._loop_batches and self._until_adoption() == 0.0:
+                with self._flush_lock:
+                    self._flush_chunks(self._take_loop_batches(
+                        time.perf_counter() - ADOPT_AFTER_S
+                    ))
 
     def _gather(self) -> Tuple[List[_Request], bool]:
         """Collect one batch: first item blocks, the rest race the
         oldest item's deadline."""
         try:
-            first = self._queue.get(timeout=0.05)
+            first = self._queue.get(timeout=self._until_adoption())
         except queue.Empty:
             return [], False
         if first is _STOP:
@@ -289,10 +358,44 @@ class MicroBatcher:
             if item is _STOP:
                 return batch, True
             batch.append(item)
-        if self.delay is not None:
-            self.delay.observe(len(batch), self._queue.qsize(),
-                               self.max_batch)
         return batch, False
+
+    def _until_adoption(self) -> float:
+        """Seconds until the oldest pending loop batch is due for
+        adoption by the batcher thread, capped at the idle poll."""
+        if not self._loop_batches:
+            return ADOPT_AFTER_S
+        with self._submit_lock:
+            oldest = min(
+                (batch[0].enqueued for batch in self._loop_batches.values()),
+                default=math.inf,
+            )
+        due = oldest + ADOPT_AFTER_S - time.perf_counter()
+        return min(max(due, 0.0), ADOPT_AFTER_S)
+
+    def _take_loop_batches(self, opened_by: float) -> List[_Request]:
+        """Pop every loop batch whose first request arrived by
+        ``opened_by``.  The caller holds the flush lock and flushes
+        what this returns before releasing it."""
+        with self._submit_lock:
+            due = [loop for loop, batch in self._loop_batches.items()
+                   if batch[0].enqueued <= opened_by]
+            taken = [request for loop in due
+                     for request in self._loop_batches.pop(loop)]
+            self._loop_pending -= len(taken)
+        return taken
+
+    def _flush_loop_batch(self, loop: Any) -> None:
+        """The ``call_soon`` callback a loop batch schedules when it
+        opens: flush the batch on its loop's thread, unless the batcher
+        thread adopted it first."""
+        with self._flush_lock:
+            with self._submit_lock:
+                batch = self._loop_batches.pop(loop, None)
+                if batch is None:
+                    return
+                self._loop_pending -= len(batch)
+            self._flush_chunks(batch)
 
     def _drain_remaining(self) -> None:
         leftover: List[_Request] = []
@@ -303,8 +406,22 @@ class MicroBatcher:
                 break
             if item is not _STOP:
                 leftover.append(item)
-        for start in range(0, len(leftover), self.max_batch):
-            self._flush(leftover[start:start + self.max_batch])
+        # Taking the flush lock also waits out a loop flush in progress.
+        with self._flush_lock:
+            leftover.extend(self._take_loop_batches(math.inf))
+            self._flush_chunks(leftover)
+
+    def _flush_chunks(self, requests: List[_Request]) -> None:
+        """Flush ``requests`` ``max_batch`` at a time; the caller holds
+        the flush lock.  Each flush's fill (its size plus every request
+        still waiting behind it) feeds the adaptive delay."""
+        for start in range(0, len(requests), self.max_batch):
+            batch = requests[start:start + self.max_batch]
+            if self.delay is not None:
+                behind = len(requests) - start - len(batch)
+                self.delay.observe(len(batch), behind + self.queue_depth(),
+                                   self.max_batch)
+            self._flush(batch)
 
     def _flush(self, batch: List[_Request]) -> None:
         self._note_flush(batch)

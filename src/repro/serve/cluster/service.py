@@ -342,8 +342,12 @@ class _ClusterDispatcher(MicroBatcher):
     Inherits the queue/gather/close machinery (including the adaptive
     deadline and the zero-dropped-futures drain); only the flush is
     replaced — instead of predicting locally it stacks each reference's
-    rows and hands the group to the service for routing.
+    rows and hands the group to the service for routing.  That flush
+    makes blocking pipe/socket writes, so requests from an event loop
+    take the batcher thread too instead of flushing on the loop.
     """
+
+    flush_on_loop = False
 
     def __init__(self, service: "ShardedPolicyService", **kwargs) -> None:
         super().__init__(service.registry, metrics=service._metrics,

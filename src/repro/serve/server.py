@@ -15,7 +15,7 @@ import threading
 import time
 from collections import Counter, deque
 from concurrent.futures import Future
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -41,7 +41,8 @@ class ServeError(RuntimeError):
 
 
 class _ModelStats:
-    """Accumulators for one model (written only by the batcher thread)."""
+    """Accumulators for one model (written only by flushes, which the
+    batcher serializes)."""
 
     __slots__ = (
         "requests", "errors", "error_kinds", "hist", "batch_sizes",
@@ -68,7 +69,7 @@ class _ModelStats:
         self.busy_s = 0.0
         self.last_ts: Optional[float] = None
         #: True sliding window of the latest successes, as
-        #: ``(perf_counter_ts, latency_s)`` pairs.  The histogram
+        #: ``(clock_ts, latency_s)`` pairs.  The histogram
         #: estimates lifetime percentiles; SLO probes
         #: (:meth:`ServerMetrics.p95_ms`) need *exact* recent
         #: percentiles over a bounded window, so they keep their own
@@ -86,9 +87,10 @@ class ServerMetrics:
     """Per-model serving metrics: throughput, latency percentiles,
     batch-size histogram, error counts.
 
-    Writes come from the single batcher thread; ``snapshot`` may be
-    called from any thread, so every touch happens under one lock (the
-    per-record cost is a few dict/list operations).
+    Writes come from flushes, which the batcher serializes under its
+    flush lock; ``snapshot`` may be called from any thread, so every
+    touch happens under one lock (the per-record cost is a few
+    dict/list operations).
 
     Snapshot percentiles come from a per-model streaming log-bucketed
     histogram (:class:`repro.obs.metrics.LogHistogram`): constant
@@ -103,10 +105,16 @@ class ServerMetrics:
         hub: optional :class:`repro.obs.metrics.MetricsHub` to mirror
             requests/errors/latencies into (labeled Prometheus series);
             may also be attached later via :meth:`bind_hub`.
+        clock: seconds source for completion stamps and the sliding
+            windows (overridable so tests drive the busy-time union
+            and windowed probes deterministically).  Latencies are
+            measured by the caller on ``time.perf_counter``.
     """
 
     def __init__(self, max_latency_samples: int = 200_000,
-                 hub: Any = None) -> None:
+                 hub: Any = None,
+                 clock: Callable[[], float] = time.perf_counter) -> None:
+        self._clock = clock
         self._lock = threading.Lock()
         self._models: Dict[str, _ModelStats] = {}
         self.max_latency_samples = max_latency_samples
@@ -144,8 +152,8 @@ class ServerMetrics:
     def _add_busy(stats: _ModelStats, start: float, now: float) -> None:
         """Merge one service interval into the busy-time union.
 
-        Records arrive in completion order from the single batcher
-        thread, so clipping ``start`` to the previous completion merges
+        Records arrive in completion order (the batcher serializes its
+        flushes), so clipping ``start`` to the previous completion merges
         overlapping intervals on the fly; idle gaps between bursts
         contribute nothing.  Throughput = requests / busy time therefore
         measures the server while it serves, not the workload's pauses.
@@ -162,7 +170,7 @@ class ServerMetrics:
         latency_s: float,
         error: Optional[str] = None,
     ) -> None:
-        now = time.perf_counter()
+        now = self._clock()
         start = now - latency_s  # when the request arrived
         with self._lock:
             stats = self._stats(model)
@@ -194,7 +202,7 @@ class ServerMetrics:
         under a single lock acquisition — the batcher's hot path."""
         if not latencies:
             return
-        now = time.perf_counter()
+        now = self._clock()
         start = now - max(latencies)  # earliest enqueue in the group
         with self._lock:
             stats = self._stats(model)
@@ -238,7 +246,7 @@ class ServerMetrics:
         """
         cutoff = None
         if window_s is not None:
-            cutoff = time.perf_counter() - window_s
+            cutoff = self._clock() - window_s
         with self._lock:
             samples = []
             for stats in self._models.values():
@@ -272,7 +280,7 @@ class ServerMetrics:
         """
         cutoff = None
         if window_s is not None:
-            cutoff = time.perf_counter() - window_s
+            cutoff = self._clock() - window_s
         with self._lock:
             errors = successes = 0
             for stats in self._models.values():
@@ -577,7 +585,9 @@ class PolicyServer:
 
     # -- traffic ---------------------------------------------------------
     def submit(self, model: str, state: Any) -> "Future[ServeResult]":
-        """One decision request; resolves to a :class:`ServeResult`."""
+        """One decision request; resolves to a :class:`ServeResult`.
+        Called on a running event loop, it flushes on that loop (see
+        :meth:`MicroBatcher.submit`)."""
         return self._batcher.submit(model, state)
 
     def submit_many(
@@ -593,7 +603,10 @@ class PolicyServer:
         """Synchronous batch convenience: submit, wait, stack actions.
 
         Raises :class:`ServeError` if any request fails — use ``submit``
-        when per-request error handling is wanted.
+        when per-request error handling is wanted.  Called on a running
+        event loop it blocks that loop, so its requests wait for the
+        batcher thread to adopt them (up to
+        :data:`~repro.serve.batcher.ADOPT_AFTER_S`).
         """
         if self._batcher.closed:
             raise RuntimeError(

@@ -190,8 +190,9 @@ class TrafficSplitter:
     ) -> None:
         """Record one mirrored batch: agreement of shadow vs served.
 
-        Must never raise — it runs on serving hot paths (the batcher
-        worker thread, the shard serve loop).  Anything uncomparable
+        Must never raise — it runs on serving hot paths (a batcher
+        flush, on the batcher thread or a client's event loop; the
+        shard serve loop).  Anything uncomparable
         (ragged action lists from mixed-output-shape groups, dtype
         clashes) is counted as shadow error, not thrown.
         """

@@ -350,10 +350,15 @@ class TestElasticScaling:
             assert snap["scale_ups"] >= 1, f"never scaled up: {snap}"
             # scaled replicas are in lockstep too
             _assert_replicas_identical(svc)
-            # idle long enough and capacity returns to min_shards
+            # idle long enough and capacity returns to min_shards.  The
+            # victim stops counting as live as soon as it starts
+            # draining, but the autoscaler counts the scale-down only
+            # once remove_shard() has drained and joined it: wait for
+            # both.
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline:
-                if svc.cluster_metrics()["live_shards"] == 1:
+                if (svc.cluster_metrics()["live_shards"] == 1
+                        and svc.autoscaler.scale_downs >= 1):
                     break
                 time.sleep(0.1)
             assert svc.cluster_metrics()["live_shards"] == 1, (

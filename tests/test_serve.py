@@ -10,6 +10,7 @@ from repro.serve import (
     PolicyArtifact,
     PolicyServer,
     ServeError,
+    ServerMetrics,
 )
 
 
@@ -534,22 +535,24 @@ class TestServer:
         assert stats["batch_sizes"] == {64: 1}  # genuinely one flush
         assert stats["throughput_rps"] > 0
 
-    def test_idle_gaps_do_not_deflate_throughput(self, toy_tree):
-        """Throughput divides by busy time, not burst spacing."""
-        import time as _time
-
-        tree, x, _ = toy_tree
-        with PolicyServer(max_batch=64, max_delay_s=1e-3) as server:
-            server.publish("toy", PolicyArtifact.from_tree(tree))
-            server.predict("toy", x[:32])
-            burst_rps = server.metrics()["toy"]["throughput_rps"]
-            _time.sleep(0.25)  # idle gap between bursts
-            server.predict("toy", x[:32])
-            stats = server.metrics()["toy"]
-        assert stats["requests"] == 64
-        # 64 requests over >=0.25s of wall clock would be < 256 rps if
-        # the gap counted; busy-time throughput stays burst-scale.
-        assert stats["throughput_rps"] > 0.5 * burst_rps
+    def test_idle_gaps_do_not_deflate_throughput(self):
+        """Throughput divides by busy time — the union of in-flight
+        intervals — not by burst spacing (on a fake clock)."""
+        now = [10.0]
+        metrics = ServerMetrics(clock=lambda: now[0])
+        now[0] = 10.004  # burst 1: 32 requests in flight since 10.000
+        metrics.record_group("toy", 1, [0.004] * 32)
+        burst = metrics.snapshot()["toy"]
+        assert burst["throughput_rps"] == pytest.approx(32 / 0.004)
+        now[0] = 10.260  # a 0.25 s idle gap, then burst 2 since 10.254
+        metrics.record_group("toy", 1, [0.006] * 32)
+        now[0] = 10.261  # a rejection that overlaps burst 2's tail
+        metrics.record("toy", 1, 0.003, error="bad_shape")
+        stats = metrics.snapshot()["toy"]
+        assert stats["requests"] == 65 and stats["errors"] == 1
+        # Busy: 4 ms + 6 ms + the 1 ms the rejection outlived burst 2.
+        # Counting the gap would divide by 0.261 s instead.
+        assert stats["throughput_rps"] == pytest.approx(65 / 0.011)
 
     def test_close_completes_pending_and_rejects_new(self, toy_tree):
         tree, x, _ = toy_tree

@@ -1,6 +1,12 @@
-"""Asyncio front end, adaptive microbatching, and loadgen RNG plumbing."""
+"""Asyncio front end, loop-batched flushes, adaptive microbatching, and
+loadgen RNG plumbing."""
 
 import asyncio
+import math
+import sys
+import threading
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +14,8 @@ import pytest
 from repro.core.tree import DecisionTreeClassifier
 from repro.serve import (
     AdaptiveDelay,
+    MicroBatcher,
+    ModelRegistry,
     PolicyArtifact,
     PolicyServer,
     ServeError,
@@ -105,6 +113,298 @@ class TestAsyncClient:
 
         with pytest.raises(RuntimeError, match="closed"):
             asyncio.run(main())
+
+
+def _record_resolver(future, resolvers):
+    """Append the ident of the thread that resolves ``future``."""
+    future.add_done_callback(
+        lambda _: resolvers.append(threading.get_ident())
+    )
+    return future
+
+
+class TestLoopFlush:
+    """Requests submitted on a running event loop flush on that loop;
+    the batcher thread only takes the batches the loop cannot flush."""
+
+    def test_gathered_coroutines_flush_on_the_loop_thread(self, toy):
+        tree, x = toy
+        n, max_batch = 40, 16
+        resolvers = []
+        # A thread flush would wait out this deadline; a loop flush
+        # never waits.
+        with PolicyServer(max_batch=max_batch, max_delay_s=1.0) as server:
+            server.publish("toy", PolicyArtifact.from_tree(tree))
+
+            async def one(row):
+                future = server.submit("toy", row)
+                assert not future.done()  # flushed after this loop turn
+                _record_resolver(future, resolvers)
+                return await asyncio.wrap_future(future)
+
+            async def main():
+                results = await asyncio.gather(*[one(row) for row in x[:n]])
+                return threading.get_ident(), results
+
+            loop_thread, results = asyncio.run(main())
+            sizes = server.metrics()["toy"]["batch_sizes"]
+        assert resolvers == [loop_thread] * n
+        assert sum(sizes.values()) == math.ceil(n / max_batch)
+        assert sizes == {8: 1, 16: 2}
+        assert [r.action for r in results] == tree.predict(x[:n]).tolist()
+
+    def test_blocked_loop_is_answered_by_the_batcher_thread(self, toy):
+        tree, x = toy
+        resolvers = []
+        with PolicyServer(max_batch=16, max_delay_s=1e-3) as server:
+            server.publish("toy", PolicyArtifact.from_tree(tree))
+
+            async def main():
+                future = _record_resolver(
+                    server.submit("toy", x[0]), resolvers
+                )
+                begin = time.perf_counter()
+                result = future.result(timeout=2)  # blocks the loop
+                waited = time.perf_counter() - begin
+                return threading.get_ident(), result, waited
+
+            loop_thread, result, waited = asyncio.run(main())
+        assert result.ok and result.action == tree.predict(x[:1])[0]
+        assert len(resolvers) == 1 and resolvers[0] != loop_thread
+        assert waited < 1.0
+
+    def test_unawaited_future_resolves_after_the_loop_closes(self, toy):
+        tree, x = toy
+        resolvers = []
+        with PolicyServer(max_batch=16, max_delay_s=1e-3) as server:
+            server.publish("toy", PolicyArtifact.from_tree(tree))
+
+            async def main():
+                return server.submit("toy", x[0])
+
+            returned = asyncio.run(main())
+            # A loop stopped in the turn that opened its batch closes
+            # with the batch's flush still scheduled: only the batcher
+            # thread can answer it.
+            loop = asyncio.new_event_loop()
+            orphaned = []
+
+            def submit_and_stop():
+                orphaned.append(_record_resolver(
+                    server.submit("toy", x[1]), resolvers
+                ))
+                loop.stop()
+
+            loop.call_soon(submit_and_stop)
+            loop.run_forever()
+            loop.close()
+            results = [returned.result(timeout=2),
+                       orphaned[0].result(timeout=2)]
+        assert [r.action for r in results] == tree.predict(x[:2]).tolist()
+        assert len(resolvers) == 1
+        assert resolvers[0] != threading.get_ident()
+
+    def test_close_resolves_pending_loop_batches(self, toy):
+        tree, x = toy
+        server = PolicyServer(max_batch=8, max_delay_s=1e-3)
+        server.publish("toy", PolicyArtifact.from_tree(tree))
+        # A stopped (not closed) loop keeps its batch pending.
+        stopped = asyncio.new_event_loop()
+        parked = []
+
+        def submit_and_stop():
+            parked.extend(server.submit("toy", row) for row in x[20:30])
+            stopped.stop()
+
+        stopped.call_soon(submit_and_stop)
+        stopped.run_forever()
+
+        async def main():
+            futures = [server.submit("toy", row) for row in x[:20]]
+            server.close()  # before this turn ends and its flush runs
+            return [f.done() for f in futures + parked], futures
+
+        try:
+            done, futures = asyncio.run(main())
+        finally:
+            stopped.close()
+        assert all(done)
+        actions = [f.result().action for f in futures + parked]
+        assert actions == tree.predict(x[:30]).tolist()
+        with pytest.raises(RuntimeError, match="closed"):
+            server.submit("toy", x[0])
+
+    def test_close_waits_for_a_loop_flush_in_progress(self):
+        entered, release = threading.Event(), threading.Event()
+
+        def gated(x):
+            entered.set()
+            release.wait(timeout=10)
+            return np.zeros(x.shape[0], dtype=int)
+
+        server = PolicyServer(max_batch=8, max_delay_s=1e-3)
+        server.publish("gated", PolicyArtifact(
+            name="gated", kind="function", n_features=2, n_outputs=2,
+            predict_batch=gated, content_hash="0" * 16,
+        ))
+        futures = []
+
+        async def client():
+            futures.append(server.submit("gated", [0.0, 1.0]))
+            await asyncio.wrap_future(futures[0])
+
+        loop_thread = threading.Thread(target=asyncio.run, args=(client(),))
+        loop_thread.start()
+        closer = threading.Thread(target=server.close)
+        try:
+            assert entered.wait(timeout=10)  # the loop thread is flushing
+            closer.start()
+            closer.join(timeout=0.2)
+            assert closer.is_alive()  # close() waits for that flush
+        finally:
+            release.set()
+            loop_thread.join(timeout=10)
+            if closer.ident is not None:
+                closer.join(timeout=10)
+        assert not loop_thread.is_alive() and not closer.is_alive()
+        assert futures[0].result(timeout=0).ok
+
+    def test_queue_depth_counts_a_pending_loop_batch(self, toy):
+        tree, x = toy
+        registry = ModelRegistry()
+        registry.publish("toy", PolicyArtifact.from_tree(tree))
+        # Never started: loop batches still flush on their loop, and no
+        # batcher thread can adopt this one while its depth is read.
+        batcher = MicroBatcher(registry, max_batch=8)
+
+        async def main():
+            futures = [batcher.submit("toy", row) for row in x[:5]]
+            pending = batcher.queue_depth()
+            await asyncio.gather(*map(asyncio.wrap_future, futures))
+            return pending, batcher.queue_depth()
+
+        try:
+            assert asyncio.run(main()) == (5, 0)
+        finally:
+            batcher.close()
+
+    def test_adaptive_fill_moves_under_loop_only_traffic(self, toy):
+        tree, x = toy
+        with PolicyServer(max_batch=16, max_delay_s=2e-3,
+                          adaptive_delay=True) as server:
+            server.publish("toy", PolicyArtifact.from_tree(tree))
+            before = server.batching_state()
+
+            async def main():
+                return await asyncio.gather(*[
+                    server.submit_async("toy", row) for row in x[:64]
+                ])
+
+            results = asyncio.run(main())
+            after = server.batching_state()
+        assert all(r.ok for r in results)
+        assert (before["fill"], before["observations"]) == (0.0, 0)
+        # Four full flushes, each with the rest of the batch behind it.
+        assert after["observations"] >= 4
+        assert after["fill"] > 0.5
+
+
+class TestLoopAndThreadStress:
+    """Loop-batched and queued requests from more submitters than cores,
+    with the interpreter switching threads as often as it can."""
+
+    N_LOOPS = 4
+    COROUTINES = 8
+    N_THREADS = 4
+    PER_CLIENT = 30
+
+    def test_every_future_resolves_once_with_the_offline_answer(self, toy):
+        tree, x = toy
+        artifact = PolicyArtifact.from_tree(tree)
+        expected = np.asarray(artifact.predict_batch(x)).tolist()
+        n_rows = x.shape[0]
+        resolutions: Counter = Counter()
+        wrong = []
+        futures = []
+        errors = []
+        record = threading.Lock()
+
+        def submit(server, rid):
+            row = rid % n_rows
+            future = server.submit("toy", x[row])
+
+            def done(f):
+                result = f.result()
+                with record:
+                    resolutions[rid] += 1
+                    if not result.ok or result.action != expected[row]:
+                        wrong.append((rid, result))
+
+            future.add_done_callback(done)
+            with record:
+                futures.append(future)
+            return future
+
+        async def coroutine_client(server, base):
+            for k in range(self.PER_CLIENT):
+                future = submit(server, base + k)
+                if k == self.PER_CLIENT // 2:
+                    future.result(timeout=10)  # blocks this loop
+                else:
+                    await asyncio.wait_for(asyncio.wrap_future(future), 10)
+
+        async def loop_clients(server, first):
+            await asyncio.gather(*[
+                coroutine_client(server, (first + c) * self.PER_CLIENT)
+                for c in range(self.COROUTINES)
+            ])
+
+        def loop_thread(server, index):
+            asyncio.run(loop_clients(server, index * self.COROUTINES))
+
+        def plain_thread(server, index):
+            base = (self.N_LOOPS * self.COROUTINES + index) * self.PER_CLIENT
+            for k in range(self.PER_CLIENT):
+                submit(server, base + k).result(timeout=10)
+
+        def guarded(target, *args):
+            try:
+                target(*args)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        total = (self.N_LOOPS * self.COROUTINES + self.N_THREADS) \
+            * self.PER_CLIENT
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with PolicyServer(max_batch=16, max_delay_s=1e-3) as server:
+                server.publish("toy", artifact)
+                threads = [
+                    threading.Thread(target=guarded,
+                                     args=(loop_thread, server, i))
+                    for i in range(self.N_LOOPS)
+                ] + [
+                    threading.Thread(target=guarded,
+                                     args=(plain_thread, server, i))
+                    for i in range(self.N_THREADS)
+                ]
+                for thread in threads:
+                    thread.start()
+                deadline = time.monotonic() + 60
+                for thread in threads:
+                    thread.join(timeout=max(deadline - time.monotonic(), 0))
+                assert not any(t.is_alive() for t in threads)
+            stats = server.metrics()["toy"]
+        finally:
+            sys.setswitchinterval(switch)
+        assert errors == []
+        assert len(futures) == total and all(f.done() for f in futures)
+        assert len(resolutions) == total
+        assert set(resolutions.values()) == {1}
+        assert wrong == []
+        assert stats["requests"] == total and stats["errors"] == 0
+        assert max(stats["batch_sizes"]) <= 16
 
 
 class TestRunLoadAsync:
