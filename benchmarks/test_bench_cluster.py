@@ -20,7 +20,8 @@ path.  Three benchmarks here, all appending to ``BENCH_cluster.json``
   Round-robin is load-blind, so it parks cheap groups behind an
   in-flight expensive batch about half the time; the load-aware router
   must beat its throughput on the contended cheap workload (local
-  floor 1.02x asserts the win direction; measured ~1.35x).
+  floor 1.02x on the median of five back-to-back pairs asserts the win
+  direction; measured ~1.1-1.35x).
 * **elasticity** — autoscaler scale-up/scale-down event counts under a
   saturate-then-idle cycle, and shard-kill recovery under ``self_heal``
   (time until a replacement replica serves, replica-state fingerprint
@@ -80,6 +81,8 @@ MIN_SPEEDUP_VS_BEST = 1.5
 #: the win with a small margin rather than its magnitude — at or below
 #: 1.0x the router has stopped reading the load signals.
 MIN_ROUTING_GAIN = 1.02
+#: Back-to-back round-robin/least-loaded pairs; the gain is their median.
+ROUTING_ROUNDS = 5
 #: The localhost-socket path serializes every batch through the wire
 #: codec plus a TCP hop, so it is expected to trail the pipe path; the
 #: floor only catches a catastrophic regression (a stalled reader, a
@@ -255,23 +258,29 @@ def test_bench_routing_skew():
     rng = np.random.default_rng(7)
     pool = rng.uniform(0, 1, (2048, SKEW_FEATURES))
 
-    def best_of(routing: str, attempts: int = 2) -> dict:
-        # Best-of-N per config (same interference rejection as
-        # _bulk_rps): one descheduling blip on a loaded box would
-        # otherwise misattribute machine noise to the router.
-        runs = [_skewed_mix_rps(routing, pool) for _ in range(attempts)]
-        return max(runs, key=lambda run: run["light_rps"])
+    def gain(runs: dict, key: str) -> float:
+        base = runs["round_robin"][key]
+        return runs["least_loaded"][key] / base if base > 0 else 0.0
 
-    round_robin = best_of("round_robin")
-    least_loaded = best_of("least_loaded")
-    light_gain = (
-        least_loaded["light_rps"] / round_robin["light_rps"]
-        if round_robin["light_rps"] > 0 else 0.0
-    )
-    aggregate_gain = (
-        least_loaded["aggregate_rps"] / round_robin["aggregate_rps"]
-        if round_robin["aggregate_rps"] > 0 else 0.0
-    )
+    # The two routers run back to back, the first of each pair
+    # alternating, and the median round decides: on a shared host, one
+    # run per router measured seconds apart confounds host drift (and
+    # one descheduling blip) with the router.
+    order = ("round_robin", "least_loaded")
+    rounds = []
+    for i in range(ROUTING_ROUNDS):
+        pair = order if i % 2 == 0 else order[::-1]
+        rounds.append(
+            {routing: _skewed_mix_rps(routing, pool) for routing in pair}
+        )
+    round_gains = [gain(runs, "light_rps") for runs in rounds]
+    median_round = sorted(
+        rounds, key=lambda runs: gain(runs, "light_rps")
+    )[len(rounds) // 2]
+    round_robin = median_round["round_robin"]
+    least_loaded = median_round["least_loaded"]
+    light_gain = gain(median_round, "light_rps")
+    aggregate_gain = gain(median_round, "aggregate_rps")
 
     record = {
         "benchmark": "cluster-routing",
@@ -281,6 +290,7 @@ def test_bench_routing_skew():
         "round_robin": round_robin,
         "least_loaded": least_loaded,
         "routing_gain_light": light_gain,
+        "routing_gain_light_rounds": round_gains,
         "routing_gain_aggregate": aggregate_gain,
     }
     record_run(BENCH_PATH, record)
@@ -289,6 +299,8 @@ def test_bench_routing_skew():
         return
     assert round_robin["n_errors"] == 0
     assert least_loaded["n_errors"] == 0
+    assert all(run["n_errors"] == 0
+               for runs in rounds for run in runs.values())
     assert light_gain >= MIN_ROUTING_GAIN, (
         f"least-loaded routing only {light_gain:.2f}x round-robin on "
         f"the contended light workload "
@@ -324,9 +336,13 @@ def test_bench_cluster_elasticity():
             if service.autoscaler.scale_ups >= 1:
                 break
         peak_shards = service.cluster_metrics()["live_shards"]
+        # The victim stops counting as live as soon as it starts
+        # draining, but the autoscaler counts the scale-down only once
+        # remove_shard() has drained and joined it: wait for both.
         deadline = time.monotonic() + 30.0
         while time.monotonic() < deadline:
-            if service.cluster_metrics()["live_shards"] == 1:
+            if (service.cluster_metrics()["live_shards"] == 1
+                    and service.autoscaler.scale_downs >= 1):
                 break
             time.sleep(0.1)
         autoscale_snap = service.autoscaler.snapshot()

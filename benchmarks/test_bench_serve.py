@@ -19,7 +19,8 @@ collection; this benchmark guards the same coalescing win at the
   record — when the host has no C compiler).
 
 The floor asserted locally is ``>= 5x`` throughput for the microbatched
-path.  The three load scenarios (ABR sessions, AuTO flow arrivals,
+path, in the median of five back-to-back serial/microbatched pairs.
+The three load scenarios (ABR sessions, AuTO flow arrivals,
 RouteNet routing queries) are each replayed against their own policy and
 their p50/p99 latency recorded.  Results append to ``BENCH_serve.json``
 at the repo root (same trajectory format as ``BENCH_tree.json``); set
@@ -58,6 +59,8 @@ REPORT_ONLY = bool(os.environ.get("BENCH_REPORT_ONLY"))
 N_CONCURRENT_CLIENTS = 64
 SERIAL_REQUESTS = 1_500
 BATCHED_PASSES = 2  # each of the 64 clients replays its share this often
+#: Back-to-back serial/microbatched pairs; the speedup is their median.
+SERVE_ROUNDS = 5
 
 MIN_SERVE_SPEEDUP = 5.0
 
@@ -117,32 +120,49 @@ def test_bench_serve_throughput_and_scenarios():
     # ------------------------------------------------------------------
     # single-request loop vs microbatched serving on the same artifact
     # (both pinned to the numpy backend so the trajectory stays the
-    # coalescing story it always measured)
+    # coalescing story it always measured).  The two run back to back
+    # in SERVE_ROUNDS rounds and the speedup is the median round's
+    # ratio: on a shared 2-vCPU host, one pair measured minutes apart
+    # read anywhere from ~3.8x to ~12x on the same code.
     # ------------------------------------------------------------------
     pool = abr_states[
         np.random.default_rng(0).integers(0, len(abr_states), 8192)
     ]
-    with _backend("numpy"), PolicyServer(
-        max_batch=1, max_delay_s=0.0
-    ) as server:
-        server.publish("abr", artifact)
-        server.predict("abr", pool[:64])  # warm-up
-        serial = run_load(
-            server, "abr", pool[:SERIAL_REQUESTS],
-            n_clients=1, scenario="abr-serial",
-        )
-    with _backend("numpy"), PolicyServer(
-        max_batch=N_CONCURRENT_CLIENTS, max_delay_s=1e-3
-    ) as server:
-        server.publish("abr", artifact)
-        server.predict("abr", pool[:64])  # warm-up
-        batched = run_load(
-            server, "abr", pool,
-            n_clients=N_CONCURRENT_CLIENTS, repeats=BATCHED_PASSES,
-            scenario="abr-batched",
-        )
-        batch_sizes = server.metrics()["abr"]["batch_sizes"]
-    speedup = batched.throughput_rps / serial.throughput_rps
+
+    def serial_run():
+        with _backend("numpy"), PolicyServer(
+            max_batch=1, max_delay_s=0.0
+        ) as server:
+            server.publish("abr", artifact)
+            server.predict("abr", pool[:64])  # warm-up
+            return run_load(
+                server, "abr", pool[:SERIAL_REQUESTS],
+                n_clients=1, scenario="abr-serial",
+            )
+
+    def batched_run():
+        with _backend("numpy"), PolicyServer(
+            max_batch=N_CONCURRENT_CLIENTS, max_delay_s=1e-3
+        ) as server:
+            server.publish("abr", artifact)
+            server.predict("abr", pool[:64])  # warm-up
+            report = run_load(
+                server, "abr", pool,
+                n_clients=N_CONCURRENT_CLIENTS, repeats=BATCHED_PASSES,
+                scenario="abr-batched",
+            )
+            return report, server.metrics()["abr"]["batch_sizes"]
+
+    rounds = []
+    for _ in range(SERVE_ROUNDS):
+        serial = serial_run()
+        batched, batch_sizes = batched_run()
+        rounds.append((batched.throughput_rps / serial.throughput_rps,
+                       serial, batched, batch_sizes))
+    round_speedups = [entry[0] for entry in rounds]
+    speedup, serial, batched, batch_sizes = sorted(
+        rounds, key=lambda entry: entry[0]
+    )[len(rounds) // 2]
 
     # ------------------------------------------------------------------
     # microbatched again, this time through the compiled native kernel
@@ -200,6 +220,7 @@ def test_bench_serve_throughput_and_scenarios():
             "batched_p50_ms": batched.latency_p50_ms,
             "batched_p99_ms": batched.latency_p99_ms,
             "serve_speedup": speedup,
+            "serve_speedup_rounds": round_speedups,
             "max_batch_observed": int(max(batch_sizes)),
             "batched_native_rps": batched_native.throughput_rps,
             "batched_native_p50_ms": batched_native.latency_p50_ms,
@@ -217,6 +238,8 @@ def test_bench_serve_throughput_and_scenarios():
     if REPORT_ONLY:
         return
     assert batched.n_errors == 0 and serial.n_errors == 0
+    assert all(entry[1].n_errors == 0 and entry[2].n_errors == 0
+               for entry in rounds)
     # The native run must serve flawlessly whether or not a compiler
     # exists — that is the transparent-fallback contract.
     assert batched_native.n_errors == 0

@@ -12,11 +12,21 @@ Where a flush runs depends on the caller:
   asyncio loop adds the request to that loop's pending batch.  The
   batch's first request schedules one ``loop.call_soon``, which flushes
   the batch on the loop thread at the end of the loop turn,
-  ``max_batch`` requests at a time, with no ``max_delay_s`` wait.  A
-  closed loop of coroutines is thus gathered, predicted and resolved
-  with no cross-thread wake-up.
+  ``max_batch`` requests at a time, with no ``max_delay_s`` wait.  The
+  caller gets a :class:`_LoopFuture`: a ``concurrent.futures.Future``
+  that asyncio also accepts as its own, so ``asyncio.wrap_future``
+  returns it unchanged, a Task awaits it directly, and its done
+  callbacks run on its loop.  A closed loop of coroutines is thus
+  gathered, predicted and resumed with no cross-thread wake-up.
 * **thread callers** — the request goes on a queue that one batcher
-  thread drains under the flush policy below.
+  thread drains under the flush policy below, and the caller gets a
+  plain ``concurrent.futures.Future``.
+
+Every returned future is running from ``submit`` on, so ``cancel()``
+returns False: an accepted request is always answered, and no flush
+ever meets a cancelled future.  asyncio treats a cancelled Task (or a
+``wait_for`` timeout) on such a future as on any future that refuses
+cancellation: the Task is cancelled when the answer arrives.
 
 The batcher thread is also the loop batches' safety net: a loop batch
 still pending ``ADOPT_AFTER_S`` after it opened (its loop is blocked in
@@ -60,11 +70,13 @@ throw at it):
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import math
 import queue
 import threading
 import time
 from concurrent.futures import Future
+from concurrent.futures._base import FINISHED, LOGGER, RUNNING
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -109,13 +121,130 @@ class ServeResult(NamedTuple):
     latency_s: float = 0.0
 
 
+class _LoopFuture(Future):
+    """The future of a request submitted on a running event loop.
+
+    A :class:`concurrent.futures.Future` that also speaks asyncio's
+    Future-like protocol, so ``asyncio.wrap_future`` returns it unchanged
+    and an awaiting Task waits on it directly: the flush's ``set_result``
+    wakes the Task with one ``loop.call_soon`` instead of a second future
+    chained through ``call_soon_threadsafe``.
+
+    Done callbacks run on the future's loop, as asyncio's do: through
+    ``call_soon`` when it resolves on the loop thread, through
+    ``call_soon_threadsafe`` when another thread resolves it (the batcher
+    thread adopting a blocked loop's batch), and inline in the resolving
+    thread only once the loop is closed.  The thread side is unchanged:
+    ``result(timeout)`` still blocks on the future's condition.
+    """
+
+    #: asyncio's marker of a Future-like object; an awaiting Task sets
+    #: it back to False when it starts waiting.
+    _asyncio_future_blocking = False
+
+    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
+        super().__init__()
+        self._loop = loop
+
+    def get_loop(self) -> asyncio.AbstractEventLoop:
+        return self._loop
+
+    def __await__(self):
+        if self._state != FINISHED:
+            self._asyncio_future_blocking = True
+            yield self  # the Task resumes from a done callback
+        if self._state != FINISHED:
+            raise RuntimeError("await wasn't used with future")
+        return self.result()
+
+    def result(self, timeout: Optional[float] = None) -> Any:
+        # A finished future never changes again: read it without a lock.
+        if self._state == FINISHED and self._exception is None:
+            return self._result
+        return super().result(timeout)
+
+    def cancel(self, msg: Any = None) -> bool:
+        """Refused once running, which every request is from submit;
+        ``msg`` is asyncio's cancel message."""
+        return super().cancel()
+
+    def add_done_callback(self, fn, *, context=None) -> None:
+        if context is None:
+            context = contextvars.copy_context()
+        with self._condition:
+            if self._state != FINISHED:
+                self._done_callbacks.append((fn, context))
+                return
+        self._dispatch([(fn, context)])
+
+    def remove_done_callback(self, fn) -> int:
+        with self._condition:
+            if self._state == FINISHED:
+                return 0  # already handed to the loop
+            kept = [(f, ctx) for f, ctx in self._done_callbacks if f != fn]
+            removed = len(self._done_callbacks) - len(kept)
+            self._done_callbacks = kept
+        return removed
+
+    def _invoke_callbacks(self) -> None:
+        # Called by set_result/set_exception once the state is final,
+        # so no callback can be added to or removed from the list now.
+        callbacks, self._done_callbacks = self._done_callbacks, []
+        if callbacks:
+            self._dispatch(callbacks)
+
+    def _dispatch(self, callbacks) -> None:
+        loop = self._loop
+        if asyncio._get_running_loop() is loop:
+            for fn, context in callbacks:
+                loop.call_soon(fn, self, context=context)
+            return
+        for fn, context in callbacks:
+            try:
+                loop.call_soon_threadsafe(fn, self, context=context)
+            except RuntimeError:  # the loop is closed: run it here
+                try:
+                    context.run(fn, self)
+                except Exception:
+                    LOGGER.exception(
+                        "exception calling callback for %r", self
+                    )
+
+
+def _get_within(q: "queue.SimpleQueue", timeout: float) -> Any:
+    """``q.get(timeout=timeout)`` for the queue's only consumer, without
+    CPython 3.11's ``SimpleQueue`` hang.
+
+    ``SimpleQueue.get`` first tries its internal lock without waiting.
+    When that try succeeds on an empty queue (a put released the lock
+    and its item was taken without waiting), it recomputes the timeout,
+    and if the deadline has already passed the result is negative,
+    which the lock wait reads as "wait forever": the get blocks until
+    the next put, however short its timeout.  A closed loop whose
+    requests are all in the gathering batch never puts again, so that
+    batch would never flush.  A failed ``get_nowait()`` leaves the lock
+    taken, so the timed get goes straight to a wait with the positive
+    timeout.
+    """
+    try:
+        return q.get_nowait()
+    except queue.Empty:
+        return q.get(timeout=timeout)
+
+
 class _Request:
     __slots__ = ("model", "state", "future", "enqueued", "row", "trace")
 
-    def __init__(self, model: str, state: Any) -> None:
+    def __init__(self, model: str, state: Any, future: Future) -> None:
         self.model = model
         self.state = state
-        self.future: Future = Future()
+        # Running from submit on, so cancel() refuses: every flush can
+        # answer every request it meets.  This is what
+        # set_running_or_notify_cancel() does, minus its lock: a future
+        # no other thread has seen yet needs none, and the lock cost a
+        # few percent of a microbatched thread request.
+        future._state = RUNNING
+        self.future = future
         self.enqueued = time.perf_counter()
         #: Validated float row, captured at flush time so shadow
         #: mirroring does not re-validate.
@@ -162,9 +291,10 @@ class MicroBatcher:
     """
 
     #: Whether requests submitted on a running event loop are flushed
-    #: on that loop.  A subclass whose flush blocks (the cluster
-    #: dispatcher writes to pipes and sockets) turns it off, so all its
-    #: requests take the batcher thread and never stall a client loop.
+    #: on that loop (and get a :class:`_LoopFuture`).  A subclass whose
+    #: flush blocks (the cluster dispatcher writes to pipes and sockets)
+    #: turns it off, so all its requests take the batcher thread, get
+    #: plain futures, and never stall a client loop.
     flush_on_loop = True
 
     def __init__(
@@ -235,21 +365,28 @@ class MicroBatcher:
 
     def submit(self, model: str, state: Any) -> "Future[ServeResult]":
         """Accept one request; the returned future resolves to a
-        :class:`ServeResult` (never an exception — errors are data).
+        :class:`ServeResult` (never an exception — errors are data) and
+        refuses ``cancel()``.
 
         On a thread running an asyncio loop the request joins that
-        loop's batch, flushed on the loop at the end of its turn; a
-        blocking ``.result()`` there waits for the batcher thread to
-        adopt the batch (up to ``ADOPT_AFTER_S``).  From any other
-        thread it goes on the batcher thread's queue.
+        loop's batch, flushed on the loop at the end of its turn, and
+        the future is also an asyncio Future-like bound to that loop:
+        ``await`` it there directly (``asyncio.wrap_future`` returns it
+        unchanged); its done callbacks run on the loop.  A blocking
+        ``.result()`` there waits for the batcher thread to adopt the
+        batch (up to ``ADOPT_AFTER_S``).  From any other thread the
+        request goes on the batcher thread's queue and the future is a
+        plain ``concurrent.futures.Future``.
         """
-        request = _Request(model=model, state=state)
+        # Returns None rather than raising when no loop is running.
+        loop = asyncio._get_running_loop() if self.flush_on_loop else None
+        request = _Request(
+            model, state, Future() if loop is None else _LoopFuture(loop)
+        )
         if self.tracer is not None and self.tracer.enabled:
             request.trace = self.tracer.maybe_start(
                 model, now=request.enqueued
             )
-        # Returns None rather than raising when no loop is running.
-        loop = asyncio._get_running_loop() if self.flush_on_loop else None
         opened = False
         with self._submit_lock:
             if self._closed:
@@ -273,10 +410,13 @@ class MicroBatcher:
     def submit_async(self, model: str, state: Any) -> "asyncio.Future":
         """Asyncio submission path: no thread per client.
 
-        Must be called with an event loop running (it binds the wrapped
-        future to it); the request joins that loop's batch (see
-        :meth:`submit`), and ``await`` gives its result.  Raises the
-        same ``RuntimeError`` as :meth:`submit` once closed.
+        Must be called with an event loop running; ``await`` the return
+        value on that loop for the result.  Where the request joins the
+        loop's batch (see :meth:`submit`), it is the very future
+        :meth:`submit` returns; a subclass that keeps loop callers on
+        its thread returns an ``asyncio.Future`` chained to the thread
+        future.  Raises the same ``RuntimeError`` as :meth:`submit` once
+        closed.
         """
         return asyncio.wrap_future(self.submit(model, state))
 
@@ -335,7 +475,7 @@ class MicroBatcher:
         """Collect one batch: first item blocks, the rest race the
         oldest item's deadline."""
         try:
-            first = self._queue.get(timeout=self._until_adoption())
+            first = _get_within(self._queue, self._until_adoption())
         except queue.Empty:
             return [], False
         if first is _STOP:
@@ -350,7 +490,7 @@ class MicroBatcher:
             remaining = deadline - time.perf_counter()
             try:
                 if remaining > 0:
-                    item = self._queue.get(timeout=remaining)
+                    item = _get_within(self._queue, remaining)
                 else:
                     item = self._queue.get_nowait()
             except queue.Empty:

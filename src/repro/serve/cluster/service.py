@@ -308,6 +308,9 @@ class _BulkJob:
 
     def __init__(self, n_rows: int, n_chunks: int, model: str) -> None:
         self.future: Future = Future()
+        # Running from submit on, so cancel() refuses and the last
+        # chunk's reply can always resolve it.
+        self.future.set_running_or_notify_cancel()
         self.results: List[Optional[ServeResult]] = [None] * n_rows
         self.outstanding = n_chunks
         self.lock = threading.Lock()
@@ -1283,7 +1286,9 @@ class ShardedPolicyService:
 
     # -- traffic -----------------------------------------------------------
     def submit(self, model: str, state: Any) -> "Future[ServeResult]":
-        """One decision request; microbatched and routed to a shard."""
+        """One decision request; microbatched and routed to a shard.
+        The future is a plain ``concurrent.futures.Future``, also on an
+        event loop, and refuses ``cancel()``."""
         return self._dispatcher.submit(model, state)
 
     def submit_async(self, model: str, state: Any):
@@ -1301,7 +1306,8 @@ class ShardedPolicyService:
     def submit_batch(
         self, model: str, states: Any
     ) -> "Future[List[ServeResult]]":
-        """Bulk path: one future for a whole state matrix.
+        """Bulk path: one future for a whole state matrix (it refuses
+        ``cancel()``, like every future the tier returns).
 
         The matrix is split into contiguous chunks across live shards
         and shipped as arrays — per-row Python cost at the front end is

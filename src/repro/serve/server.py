@@ -586,8 +586,12 @@ class PolicyServer:
     # -- traffic ---------------------------------------------------------
     def submit(self, model: str, state: Any) -> "Future[ServeResult]":
         """One decision request; resolves to a :class:`ServeResult`.
-        Called on a running event loop, it flushes on that loop (see
-        :meth:`MicroBatcher.submit`)."""
+
+        The future refuses ``cancel()``.  Called on a running event
+        loop, the request flushes on that loop and the future is one
+        that loop's Tasks ``await`` directly, with done callbacks run on
+        the loop (see :meth:`MicroBatcher.submit`); from any other
+        thread it is a plain ``concurrent.futures.Future``."""
         return self._batcher.submit(model, state)
 
     def submit_many(
@@ -623,8 +627,9 @@ class PolicyServer:
         return np.asarray([res.action for res in results])
 
     def submit_async(self, model: str, state: Any):
-        """Asyncio submission path (see :meth:`MicroBatcher.submit_async`);
-        awaitable from a running event loop."""
+        """Asyncio submission path: the same future :meth:`submit`
+        returns on a running event loop, awaited on that loop (see
+        :meth:`MicroBatcher.submit_async`)."""
         return self._batcher.submit_async(model, state)
 
     # -- observability / lifecycle ---------------------------------------

@@ -1,5 +1,8 @@
 """Tests for the policy-serving subsystem (artifact/registry/batcher/server)."""
 
+import queue
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from repro.serve import (
     ServeError,
     ServerMetrics,
 )
+from repro.serve.batcher import _get_within
 
 
 @pytest.fixture(scope="module")
@@ -586,6 +590,36 @@ class TestServer:
         assert _time.perf_counter() - start < 1.0
         with pytest.raises(RuntimeError, match="close"):
             server.submit_many("toy", x[:4])
+
+
+class TestGatherQueue:
+    def test_timed_get_returns_once_its_timeout_passes(self):
+        """The batcher thread's timed get must give up at its timeout,
+        also when the queue's lock is free and the deadline passes
+        inside the get (CPython 3.11's ``SimpleQueue.get`` then waits
+        for the next put, which a closed loop whose requests are all in
+        the gathering batch never makes).  The lapse needs the thread
+        delayed >= 1 us inside the get, so the loop runs long enough to
+        meet one."""
+        q = queue.SimpleQueue()
+        finished = threading.Event()
+
+        def consume():
+            for _ in range(40_000):
+                q.put(1)
+                q.get()  # taken without waiting: the lock is left free
+                try:
+                    _get_within(q, 1e-7)
+                except queue.Empty:
+                    pass
+            finished.set()
+
+        consumer = threading.Thread(target=consume, daemon=True)
+        consumer.start()
+        consumer.join(timeout=20)
+        if not finished.is_set():
+            q.put(None)  # release the stuck get
+        assert finished.is_set(), "a 0.1 us get waited for the next put"
 
 
 class TestServingLatencyReport:

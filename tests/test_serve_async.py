@@ -2,6 +2,7 @@
 loadgen RNG plumbing."""
 
 import asyncio
+import concurrent.futures
 import math
 import sys
 import threading
@@ -116,11 +117,26 @@ class TestAsyncClient:
 
 
 def _record_resolver(future, resolvers):
-    """Append the ident of the thread that resolves ``future``."""
+    """Append the ident of the thread that runs ``future``'s done
+    callback: its loop's thread while that loop can still run it."""
     future.add_done_callback(
         lambda _: resolvers.append(threading.get_ident())
     )
     return future
+
+
+def _recording_artifact(tree, flushers):
+    """``tree`` as a function artifact whose predict records the ident
+    of the thread that flushes each batch."""
+
+    def predict(rows):
+        flushers.append(threading.get_ident())
+        return tree.predict(rows)
+
+    return PolicyArtifact(
+        name="toy", kind="function", n_features=5, n_outputs=4,
+        predict_batch=predict, content_hash="0" * 16,
+    )
 
 
 class TestLoopFlush:
@@ -130,16 +146,15 @@ class TestLoopFlush:
     def test_gathered_coroutines_flush_on_the_loop_thread(self, toy):
         tree, x = toy
         n, max_batch = 40, 16
-        resolvers = []
+        flushers = []
         # A thread flush would wait out this deadline; a loop flush
         # never waits.
         with PolicyServer(max_batch=max_batch, max_delay_s=1.0) as server:
-            server.publish("toy", PolicyArtifact.from_tree(tree))
+            server.publish("toy", _recording_artifact(tree, flushers))
 
             async def one(row):
                 future = server.submit("toy", row)
                 assert not future.done()  # flushed after this loop turn
-                _record_resolver(future, resolvers)
                 return await asyncio.wrap_future(future)
 
             async def main():
@@ -148,21 +163,19 @@ class TestLoopFlush:
 
             loop_thread, results = asyncio.run(main())
             sizes = server.metrics()["toy"]["batch_sizes"]
-        assert resolvers == [loop_thread] * n
+        assert flushers == [loop_thread] * math.ceil(n / max_batch)
         assert sum(sizes.values()) == math.ceil(n / max_batch)
         assert sizes == {8: 1, 16: 2}
         assert [r.action for r in results] == tree.predict(x[:n]).tolist()
 
     def test_blocked_loop_is_answered_by_the_batcher_thread(self, toy):
         tree, x = toy
-        resolvers = []
+        flushers = []
         with PolicyServer(max_batch=16, max_delay_s=1e-3) as server:
-            server.publish("toy", PolicyArtifact.from_tree(tree))
+            server.publish("toy", _recording_artifact(tree, flushers))
 
             async def main():
-                future = _record_resolver(
-                    server.submit("toy", x[0]), resolvers
-                )
+                future = server.submit("toy", x[0])
                 begin = time.perf_counter()
                 result = future.result(timeout=2)  # blocks the loop
                 waited = time.perf_counter() - begin
@@ -170,7 +183,7 @@ class TestLoopFlush:
 
             loop_thread, result, waited = asyncio.run(main())
         assert result.ok and result.action == tree.predict(x[:1])[0]
-        assert len(resolvers) == 1 and resolvers[0] != loop_thread
+        assert len(flushers) == 1 and flushers[0] != loop_thread
         assert waited < 1.0
 
     def test_unawaited_future_resolves_after_the_loop_closes(self, toy):
@@ -307,6 +320,221 @@ class TestLoopFlush:
         # Four full flushes, each with the rest of the batch behind it.
         assert after["observations"] >= 4
         assert after["fill"] > 0.5
+
+
+class TestLoopFuture:
+    """A loop caller's future is awaited directly by its Task, and its
+    done callbacks run on its loop."""
+
+    def test_loop_submit_returns_an_awaitable_concurrent_future(self, toy):
+        tree, x = toy
+        with PolicyServer(max_batch=8, max_delay_s=1e-3) as server:
+            server.publish("toy", PolicyArtifact.from_tree(tree))
+
+            async def main():
+                future = server.submit("toy", x[0])
+                return future, asyncio.wrap_future(future), await future
+
+            future, wrapped, result = asyncio.run(main())
+            from_thread = server.submit("toy", x[1])
+            assert from_thread.result(timeout=10).ok
+        assert wrapped is future
+        assert isinstance(future, concurrent.futures.Future)
+        assert result.ok and result.action == tree.predict(x[:1])[0]
+        assert future.result(timeout=0) is result
+        assert type(from_thread) is concurrent.futures.Future
+        assert not asyncio.isfuture(from_thread)
+
+    def test_cluster_submit_on_a_loop_returns_a_plain_future(self, toy):
+        from repro.serve.cluster import ShardedPolicyService
+
+        tree, x = toy
+        with ShardedPolicyService(n_shards=1, max_delay_s=1e-3) as service:
+            service.publish("toy", PolicyArtifact.from_tree(tree))
+
+            async def main():
+                future = service.submit("toy", x[0])
+                return future, await asyncio.wrap_future(future)
+
+            future, result = asyncio.run(main())
+        assert type(future) is concurrent.futures.Future
+        assert not asyncio.isfuture(future)
+        assert result.ok and result.action == tree.predict(x[:1])[0]
+
+    def test_gather_wait_and_shield(self, toy):
+        tree, x = toy
+        with PolicyServer(max_batch=8, max_delay_s=1e-3) as server:
+            server.publish("toy", PolicyArtifact.from_tree(tree))
+
+            async def main():
+                gathered = await asyncio.gather(*[
+                    server.submit("toy", row) for row in x[:20]
+                ])
+                done, pending = await asyncio.wait(
+                    [server.submit("toy", row) for row in x[20:24]]
+                )
+                shielded = await asyncio.shield(server.submit("toy", x[24]))
+                waited = await asyncio.wait_for(
+                    server.submit("toy", x[25]), 10
+                )
+                return gathered, done, pending, shielded, waited
+
+            gathered, done, pending, shielded, waited = asyncio.run(main())
+        expected = tree.predict(x[:26]).tolist()
+        assert [r.action for r in gathered] == expected[:20]
+        assert pending == set() and len(done) == 4
+        assert sorted(f.result().action for f in done) \
+            == sorted(expected[20:24])
+        assert shielded.action == expected[24]
+        assert waited.action == expected[25]
+
+    def test_cancelled_task_ends_after_the_flush(self, toy):
+        tree, x = toy
+        expected = tree.predict(x[:2]).tolist()
+        with PolicyServer(max_batch=8, max_delay_s=1e-3) as server:
+            server.publish("toy", PolicyArtifact.from_tree(tree))
+            futures = []
+
+            async def client():
+                futures.append(server.submit("toy", x[0]))
+                return await futures[0]
+
+            async def main():
+                task = asyncio.ensure_future(client())
+                await asyncio.sleep(0)  # the task now awaits its future
+                assert futures and not futures[0].done()
+                assert task.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await task
+                answered = futures[0].done()
+                return answered, await server.submit("toy", x[1])
+
+            answered, following = asyncio.run(main())
+        assert answered  # the Task was cancelled once the answer came
+        assert futures[0].cancel() is False
+        assert futures[0].result(timeout=0).action == expected[0]
+        assert following.ok and following.action == expected[1]
+
+    def test_adopted_batch_callbacks_run_on_the_loop_thread(self, toy):
+        tree, x = toy
+        flushers, ran_on = [], []
+        with PolicyServer(max_batch=8, max_delay_s=1e-3) as server:
+            server.publish("toy", _recording_artifact(tree, flushers))
+
+            async def main():
+                loop = asyncio.get_running_loop()
+                called = loop.create_future()
+                future = server.submit("toy", x[0])
+                future.add_done_callback(lambda _: (
+                    ran_on.append(threading.get_ident()),
+                    called.set_result(None),
+                ))
+                result = future.result(timeout=2)  # blocks the loop
+                before_resuming = list(ran_on)
+                await asyncio.wait_for(called, 10)
+                return threading.get_ident(), result, before_resuming
+
+            loop_thread, result, before_resuming = asyncio.run(main())
+        assert result.action == tree.predict(x[:1])[0]
+        assert len(flushers) == 1 and flushers[0] != loop_thread
+        assert before_resuming == []
+        assert ran_on == [loop_thread]
+
+    def test_awaiting_from_another_loop_raises(self, toy):
+        tree, x = toy
+        registry = ModelRegistry()
+        registry.publish("toy", PolicyArtifact.from_tree(tree))
+        # Never started: no batcher thread adopts the home loop's batch,
+        # so the future stays pending until that loop runs again.
+        batcher = MicroBatcher(registry, max_batch=8)
+        home = asyncio.new_event_loop()
+        futures = []
+
+        def submit_and_stop():
+            futures.append(batcher.submit("toy", x[0]))
+            home.stop()
+
+        async def foreign():
+            return await futures[0]
+
+        try:
+            home.call_soon(submit_and_stop)
+            home.run_forever()
+            with pytest.raises(RuntimeError,
+                               match="attached to a different loop"):
+                asyncio.run(foreign())
+            assert not futures[0].done()
+            home.run_until_complete(futures[0])
+            assert futures[0].result(timeout=0).action \
+                == tree.predict(x[:1])[0]
+        finally:
+            batcher.close()
+            home.close()
+
+
+def _serving_tier(kind, transport):
+    if kind == "process":
+        return PolicyServer(max_batch=64, max_delay_s=0.05)
+    from repro.serve.cluster import ShardedPolicyService
+
+    return ShardedPolicyService(n_shards=1, max_batch=64, max_delay_s=0.05,
+                                transport=transport)
+
+
+def _close_within(tier, timeout_s):
+    closer = threading.Thread(target=tier.close, daemon=True)
+    closer.start()
+    closer.join(timeout=timeout_s)
+    return not closer.is_alive()
+
+
+TIERS = [
+    pytest.param("process", None, id="process"),
+    pytest.param("cluster", "pipe", id="cluster-pipe"),
+    pytest.param("cluster", "socket", id="cluster-socket"),
+]
+
+
+class TestCancelIsRefused:
+    """Every accepted request is running from submit on: cancel() is
+    refused, so no flush or reply ever meets a cancelled future."""
+
+    @pytest.mark.parametrize("caller", ["thread", "loop"])
+    @pytest.mark.parametrize("kind, transport", TIERS)
+    def test_a_cancelled_request_does_not_stop_serving(self, toy, kind,
+                                                       transport, caller):
+        tree, x = toy
+        expected = tree.predict(x[:9]).tolist()
+        tier = _serving_tier(kind, transport)
+
+        async def cancel_a_wrapper():
+            futures = [tier.submit("toy", row) for row in x[:8]]
+            wrappers = [asyncio.wrap_future(f) for f in futures]
+            wrappers[0].cancel()
+            await asyncio.wait_for(asyncio.gather(*wrappers[1:]), 10)
+            return futures
+
+        try:
+            tier.publish("toy", PolicyArtifact.from_tree(tree))
+            if caller == "loop":
+                futures = asyncio.run(cancel_a_wrapper())
+            else:
+                # A 50 ms deadline keeps the batch gathering while the
+                # first request is cancelled.
+                futures = [tier.submit("toy", row) for row in x[:8]]
+            assert futures[0].cancel() is False
+            results = [f.result(timeout=10) for f in futures]
+            assert [r.action for r in results] == expected[:8]
+            if kind == "cluster":
+                bulk = tier.submit_batch("toy", x[:8])
+                assert bulk.cancel() is False
+                assert [r.action for r in bulk.result(timeout=10)] \
+                    == expected[:8]
+            later = tier.submit("toy", x[8]).result(timeout=10)
+            assert later.ok and later.action == expected[8]
+        finally:
+            closed = _close_within(tier, 30)
+        assert closed
 
 
 class TestLoopAndThreadStress:
