@@ -5,15 +5,14 @@ request) needs a thread per concurrent client — exactly the
 thread-per-connection pattern the microbatcher was built to absorb, and
 at hundreds of clients the GIL spends more time context-switching than
 serving.  :class:`AsyncPolicyClient` drives the same batcher from a
-single event loop.  On a :class:`~repro.serve.server.PolicyServer` its
-submissions are batched on the client's own loop and flushed there at
-the end of the loop turn, and their futures are ones the loop's Tasks
-await directly (``asyncio.wrap_future`` returns them unchanged), so
-coroutines are predicted and resumed with no cross-thread wake-up.  The
-cluster tier's dispatcher still takes them on its own thread (its flush
-writes to shard pipes and sockets) and returns plain
-``concurrent.futures.Future`` objects, which ``wrap_future`` chains to
-the loop.
+single event loop.  Its submissions are batched on the client's own
+loop, and their futures are ones the loop's Tasks await directly
+(``asyncio.wrap_future`` returns them unchanged).  A
+:class:`~repro.serve.server.PolicyServer` flushes the batch on the loop
+at the end of the loop turn, so coroutines are predicted and resumed
+with no cross-thread wake-up.  The cluster tier hands the batch to its
+dispatcher thread instead (its flush writes to shard pipes and
+sockets), and each reply frame wakes the loop once.
 
 Works over anything with the server surface — a
 :class:`~repro.serve.server.PolicyServer` or a
@@ -47,9 +46,9 @@ class AsyncPolicyClient:
         server: any backend exposing ``submit(model, state)`` returning
             a ``concurrent.futures.Future`` (PolicyServer,
             ShardedPolicyService, or a bare MicroBatcher).  Called on
-            the client's loop, a PolicyServer or MicroBatcher returns
-            one that is also awaitable on that loop, which
-            ``asyncio.wrap_future`` passes through unchanged.
+            the client's loop, each of these returns one that is also
+            awaitable on that loop, which ``asyncio.wrap_future``
+            passes through unchanged.
 
     Usage::
 

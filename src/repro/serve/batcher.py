@@ -6,18 +6,21 @@ the serving boundary: concurrent single-state requests are gathered into
 one ``predict_batch`` call per model per flush, and each request's
 future completes individually.
 
-Where a flush runs depends on the caller:
+Where a request is gathered depends on the caller:
 
 * **event-loop callers** — ``submit`` on a thread that is running an
   asyncio loop adds the request to that loop's pending batch.  The
-  batch's first request schedules one ``loop.call_soon``, which flushes
-  the batch on the loop thread at the end of the loop turn,
-  ``max_batch`` requests at a time, with no ``max_delay_s`` wait.  The
-  caller gets a :class:`_LoopFuture`: a ``concurrent.futures.Future``
-  that asyncio also accepts as its own, so ``asyncio.wrap_future``
-  returns it unchanged, a Task awaits it directly, and its done
-  callbacks run on its loop.  A closed loop of coroutines is thus
-  gathered, predicted and resumed with no cross-thread wake-up.
+  batch's first request schedules one ``loop.call_soon``, which runs at
+  the end of the loop turn and, with no ``max_delay_s`` wait, either
+  flushes the batch on the loop thread, ``max_batch`` requests at a
+  time (the in-process tier), or hands the whole batch to the batcher
+  thread in one queue put, which flushes it at once (a subclass whose
+  flush blocks, see ``flush_on_loop``).  Either way the caller gets a
+  :class:`_LoopFuture`: a ``concurrent.futures.Future`` that asyncio
+  also accepts as its own, so ``asyncio.wrap_future`` returns it
+  unchanged, a Task awaits it directly, and its done callbacks run on
+  its loop.  A closed loop of coroutines flushed on its own loop is
+  thus gathered, predicted and resumed with no cross-thread wake-up.
 * **thread callers** — the request goes on a queue that one batcher
   thread drains under the flush policy below, and the caller gets a
   plain ``concurrent.futures.Future``.
@@ -34,6 +37,11 @@ a synchronous ``.result()``, stopped or closed) is flushed by the
 batcher thread instead.  Every flush, on whichever thread, holds one
 flush lock, so metrics, the adaptive delay, the splitter and capture see
 one flush at a time.
+
+A thread that resolves many loop futures at once (the batcher thread
+flushing loop requests, a cluster shard's reply reader) does so inside
+:func:`batched_wakeups`: each result is set at once, and each loop is
+woken once for all of its futures' done callbacks.
 
 Flush policy on the batcher thread (the two standard knobs):
 
@@ -70,6 +78,7 @@ throw at it):
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import contextvars
 import math
 import queue
@@ -131,11 +140,14 @@ class _LoopFuture(Future):
     chained through ``call_soon_threadsafe``.
 
     Done callbacks run on the future's loop, as asyncio's do: through
-    ``call_soon`` when it resolves on the loop thread, through
-    ``call_soon_threadsafe`` when another thread resolves it (the batcher
-    thread adopting a blocked loop's batch), and inline in the resolving
-    thread only once the loop is closed.  The thread side is unchanged:
-    ``result(timeout)`` still blocks on the future's condition.
+    ``call_soon`` when it resolves on the loop thread, and when another
+    thread resolves it (the batcher thread, a cluster shard's reader)
+    through one ``call_soon_threadsafe`` per loop that schedules them
+    with ``call_soon`` (once per :func:`batched_wakeups` block).  They
+    run inline in the resolving thread only once the loop is closed.
+    The result itself is set on the resolving thread, so
+    ``result(timeout)`` still blocks on the future's condition and wakes
+    as soon as the answer is in.
     """
 
     #: asyncio's marker of a Future-like object; an awaiting Task sets
@@ -199,16 +211,64 @@ class _LoopFuture(Future):
             for fn, context in callbacks:
                 loop.call_soon(fn, self, context=context)
             return
-        for fn, context in callbacks:
+        calls = [(fn, self, context) for fn, context in callbacks]
+        wakeups = getattr(_resolving, "wakeups", None)
+        if wakeups is None:
+            _wake(loop, calls)
+        else:
+            wakeups.setdefault(loop, []).extend(calls)
+
+
+#: Per thread: the loops to wake, and their callbacks, while a
+#: :func:`batched_wakeups` block is open on it.
+_resolving = threading.local()
+
+
+@contextlib.contextmanager
+def batched_wakeups():
+    """Wake each event loop once for the loop futures this thread
+    resolves inside the block.
+
+    For a thread that resolves many loop futures at once: a shard's
+    reply reader, a shard's death sweep, the batcher thread flushing
+    loop requests.  Each result is still set at once, so a loop blocked
+    in ``.result()`` wakes as before; the futures' done callbacks are
+    collected per loop and posted on exit with one
+    ``call_soon_threadsafe`` per loop, which schedules them in order
+    with ``call_soon``.  A nested block joins the outermost one.
+    """
+    if getattr(_resolving, "wakeups", None) is not None:
+        yield
+        return
+    wakeups = _resolving.wakeups = {}
+    try:
+        yield
+    finally:
+        _resolving.wakeups = None
+        for loop, calls in wakeups.items():
+            _wake(loop, calls)
+
+
+def _wake(loop: asyncio.AbstractEventLoop, calls) -> None:
+    """Post ``(fn, future, context)`` done callbacks to ``loop`` with one
+    ``call_soon_threadsafe``, or run them here if it is closed."""
+    try:
+        loop.call_soon_threadsafe(_schedule_in_order, loop, calls)
+    except RuntimeError:  # the loop is closed: run them here
+        for fn, future, context in calls:
             try:
-                loop.call_soon_threadsafe(fn, self, context=context)
-            except RuntimeError:  # the loop is closed: run it here
-                try:
-                    context.run(fn, self)
-                except Exception:
-                    LOGGER.exception(
-                        "exception calling callback for %r", self
-                    )
+                context.run(fn, future)
+            except Exception:
+                LOGGER.exception(
+                    "exception calling callback for %r", future
+                )
+
+
+def _schedule_in_order(loop: asyncio.AbstractEventLoop, calls) -> None:
+    # On the loop: one handle per callback, as call_soon from each
+    # future's own resolution would have made.
+    for fn, future, context in calls:
+        loop.call_soon(fn, future, context=context)
 
 
 def _get_within(q: "queue.SimpleQueue", timeout: float) -> Any:
@@ -264,9 +324,10 @@ ADOPT_AFTER_S = 0.05
 class MicroBatcher:
     """Gathers single-state requests into batched predicts.
 
-    Requests submitted on a running asyncio loop are batched per loop
-    and flushed on that loop; every other request goes through the
-    queue one batcher thread drains (see the module docstring).
+    Requests submitted on a running asyncio loop are batched per loop,
+    and the batch leaves at the end of the loop's turn; every other
+    request goes through the queue one batcher thread drains (see the
+    module docstring).
 
     Args:
         registry: model registry requests are resolved against (once per
@@ -290,11 +351,12 @@ class MicroBatcher:
             distribution into it.
     """
 
-    #: Whether requests submitted on a running event loop are flushed
-    #: on that loop (and get a :class:`_LoopFuture`).  A subclass whose
+    #: What the end-of-turn callback does with a loop's batch: flush it
+    #: on the loop (True), or hand it whole to the batcher thread in one
+    #: queue put, to be flushed there at once (False).  A subclass whose
     #: flush blocks (the cluster dispatcher writes to pipes and sockets)
-    #: turns it off, so all its requests take the batcher thread, get
-    #: plain futures, and never stall a client loop.
+    #: turns it off, so no flush stalls a client loop.  Loop callers get
+    #: a :class:`_LoopFuture` either way.
     flush_on_loop = True
 
     def __init__(
@@ -343,10 +405,14 @@ class MicroBatcher:
         # Guards the closed-flag/enqueue pair: submit must win or lose
         # against close() atomically, so an accepted request is always
         # enqueued before the stop sentinel (zero dropped futures).  It
-        # also guards the loop batches and their request count.
+        # also guards the loop batches and their request counts.
         self._submit_lock = threading.Lock()
         self._loop_batches: Dict[Any, List[_Request]] = {}
+        #: Requests in loop batches, pending or handed to the batcher
+        #: thread and not yet taken off its queue.
         self._loop_pending = 0
+        #: Handed-over loop batches on the queue (each one queue item).
+        self._handed_over = 0
         # Held by every flush, on whichever thread runs it.  A loop
         # batch is only ever popped under it and flushed before it is
         # released, so close() can wait out a loop flush in progress.
@@ -369,17 +435,18 @@ class MicroBatcher:
         refuses ``cancel()``.
 
         On a thread running an asyncio loop the request joins that
-        loop's batch, flushed on the loop at the end of its turn, and
-        the future is also an asyncio Future-like bound to that loop:
-        ``await`` it there directly (``asyncio.wrap_future`` returns it
-        unchanged); its done callbacks run on the loop.  A blocking
-        ``.result()`` there waits for the batcher thread to adopt the
-        batch (up to ``ADOPT_AFTER_S``).  From any other thread the
-        request goes on the batcher thread's queue and the future is a
-        plain ``concurrent.futures.Future``.
+        loop's batch, which leaves at the end of the loop's turn (see
+        ``flush_on_loop``), and the future is also an asyncio
+        Future-like bound to that loop: ``await`` it there directly
+        (``asyncio.wrap_future`` returns it unchanged); its done
+        callbacks run on the loop.  A blocking ``.result()`` there waits
+        for the batcher thread to adopt the batch (up to
+        ``ADOPT_AFTER_S``).  From any other thread the request goes on
+        the batcher thread's queue and the future is a plain
+        ``concurrent.futures.Future``.
         """
         # Returns None rather than raising when no loop is running.
-        loop = asyncio._get_running_loop() if self.flush_on_loop else None
+        loop = asyncio._get_running_loop()
         request = _Request(
             model, state, Future() if loop is None else _LoopFuture(loop)
         )
@@ -411,12 +478,9 @@ class MicroBatcher:
         """Asyncio submission path: no thread per client.
 
         Must be called with an event loop running; ``await`` the return
-        value on that loop for the result.  Where the request joins the
-        loop's batch (see :meth:`submit`), it is the very future
-        :meth:`submit` returns; a subclass that keeps loop callers on
-        its thread returns an ``asyncio.Future`` chained to the thread
-        future.  Raises the same ``RuntimeError`` as :meth:`submit` once
-        closed.
+        value on that loop for the result.  It is the very future
+        :meth:`submit` returns there.  Raises the same ``RuntimeError``
+        as :meth:`submit` once closed.
         """
         return asyncio.wrap_future(self.submit(model, state))
 
@@ -426,13 +490,16 @@ class MicroBatcher:
 
     def queue_depth(self) -> int:
         """Requests accepted but not yet gathered into a flush: the
-        batcher thread's queue plus every pending loop batch.
+        batcher thread's queue plus every loop batch, pending or handed
+        over (counted by its requests until the batcher thread takes
+        it).
 
         An approximate, lock-free reading — good enough for the load
         signals it feeds (adaptive-delay observation, cluster
         autoscaling), not a synchronization primitive.
         """
-        return self._queue.qsize() + self._loop_pending
+        return (self._queue.qsize() - self._handed_over
+                + self._loop_pending)
 
     def close(self) -> None:
         """Stop the worker; every already-submitted request completes,
@@ -460,26 +527,29 @@ class MicroBatcher:
         while True:
             batch, saw_stop = self._gather()
             if batch:
-                with self._flush_lock:
+                with batched_wakeups(), self._flush_lock:
                     self._flush_chunks(batch)
             if saw_stop:
                 self._drain_remaining()
                 return
             if self._loop_batches and self._until_adoption() == 0.0:
-                with self._flush_lock:
+                with batched_wakeups(), self._flush_lock:
                     self._flush_chunks(self._take_loop_batches(
                         time.perf_counter() - ADOPT_AFTER_S
                     ))
 
     def _gather(self) -> Tuple[List[_Request], bool]:
         """Collect one batch: first item blocks, the rest race the
-        oldest item's deadline."""
+        oldest item's deadline.  A handed-over loop batch ends the
+        gather: it is flushed at once, with whatever came before it."""
         try:
             first = _get_within(self._queue, self._until_adoption())
         except queue.Empty:
             return [], False
         if first is _STOP:
             return [], True
+        if type(first) is list:
+            return self._take_handed(first), False
         batch = [first]
         delay_s = (
             self.delay.current() if self.delay is not None
@@ -497,8 +567,19 @@ class MicroBatcher:
                 break
             if item is _STOP:
                 return batch, True
+            if type(item) is list:
+                batch.extend(self._take_handed(item))
+                break
             batch.append(item)
         return batch, False
+
+    def _take_handed(self, batch: List[_Request]) -> List[_Request]:
+        """Account for a handed-over loop batch just taken off the
+        queue."""
+        with self._submit_lock:
+            self._handed_over -= 1
+            self._loop_pending -= len(batch)
+        return batch
 
     def _until_adoption(self) -> float:
         """Seconds until the oldest pending loop batch is due for
@@ -527,8 +608,19 @@ class MicroBatcher:
 
     def _flush_loop_batch(self, loop: Any) -> None:
         """The ``call_soon`` callback a loop batch schedules when it
-        opens: flush the batch on its loop's thread, unless the batcher
-        thread adopted it first."""
+        opens, run at the end of the loop's turn: flush the batch on
+        the loop's thread, or with ``flush_on_loop`` off hand it to the
+        batcher thread in one queue put, unless the batcher thread
+        adopted it first."""
+        if not self.flush_on_loop:
+            # Popped and queued in one lock hold, so _drain_remaining
+            # meets the batch either pending or on the queue.
+            with self._submit_lock:
+                batch = self._loop_batches.pop(loop, None)
+                if batch is not None:
+                    self._handed_over += 1
+                    self._queue.put(batch)
+            return
         with self._flush_lock:
             with self._submit_lock:
                 batch = self._loop_batches.pop(loop, None)
@@ -538,17 +630,20 @@ class MicroBatcher:
             self._flush_chunks(batch)
 
     def _drain_remaining(self) -> None:
-        leftover: List[_Request] = []
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is not _STOP:
-                leftover.append(item)
         # Taking the flush lock also waits out a loop flush in progress.
-        with self._flush_lock:
-            leftover.extend(self._take_loop_batches(math.inf))
+        # Loop batches are taken before the queue is drained: a batch
+        # handed over meanwhile is then already on the queue.
+        with batched_wakeups(), self._flush_lock:
+            leftover = self._take_loop_batches(math.inf)
+            while True:
+                try:
+                    item = self._queue.get_nowait()
+                except queue.Empty:
+                    break
+                if type(item) is list:
+                    leftover.extend(self._take_handed(item))
+                elif item is not _STOP:
+                    leftover.append(item)
             self._flush_chunks(leftover)
 
     def _flush_chunks(self, requests: List[_Request]) -> None:

@@ -85,6 +85,7 @@ from repro.serve.batcher import (
     MicroBatcher,
     ServeResult,
     _Request,
+    batched_wakeups,
     coerce_state_row,
 )
 from repro.serve.cluster.autoscale import AutoscaleConfig, Autoscaler
@@ -248,6 +249,15 @@ class _Shard:
         self.ewma_by_model: Dict[str, float] = {}
         self.draining = False
 
+    def close_transport(self) -> None:
+        """Close the channel, best effort and idempotent.  Under the send
+        lock, so no send is writing to a descriptor being closed."""
+        with self.send_lock:
+            try:
+                self.transport.close()
+            except Exception:  # noqa: BLE001 - teardown best effort
+                pass
+
     def send(self, msg_id: int, op: str, payload, trace=None) -> None:
         """Encode and ship one request frame (sends serialized — two
         threads interleaving a socket write would tear the stream).
@@ -345,9 +355,11 @@ class _ClusterDispatcher(MicroBatcher):
     Inherits the queue/gather/close machinery (including the adaptive
     deadline and the zero-dropped-futures drain); only the flush is
     replaced — instead of predicting locally it stacks each reference's
-    rows and hands the group to the service for routing.  That flush
-    makes blocking pipe/socket writes, so requests from an event loop
-    take the batcher thread too instead of flushing on the loop.
+    rows and hands the group to the service for routing.  Requests from
+    an event loop are gathered on their loop as on the in-process tier,
+    but since this flush makes blocking pipe/socket writes, the loop
+    hands its whole batch to the batcher thread at the end of its turn
+    (``flush_on_loop`` off) instead of flushing it there.
     """
 
     flush_on_loop = False
@@ -660,10 +672,7 @@ class ShardedPolicyService:
         """Best-effort teardown of a shard that never joined the fleet
         (failed spawn/replay)."""
         shard.alive = False
-        try:
-            shard.transport.close()
-        except Exception:  # noqa: BLE001
-            pass
+        shard.close_transport()
         try:
             shard.process.terminate()
         except Exception:  # noqa: BLE001
@@ -751,10 +760,7 @@ class ShardedPolicyService:
             shard.process.terminate()
             shard.process.join(timeout=5.0)
         shard.alive = False
-        try:
-            shard.transport.close()
-        except Exception:  # noqa: BLE001
-            pass
+        shard.close_transport()
         with self._control_lock:
             self._shards = [s for s in self._shards if s is not shard]
             self._shards_by_id.pop(shard.shard_id, None)
@@ -837,6 +843,12 @@ class ShardedPolicyService:
         the cluster keeps serving on the survivors, and the next death
         or scale-up tries again.
         """
+        # The dead worker leaves the fleet list below, so close() never
+        # reaches it: reap it here.
+        dead.process.join(timeout=5.0)
+        if dead.process.is_alive():
+            dead.process.terminate()
+            dead.process.join(timeout=5.0)
         try:
             with self._control_lock:
                 if self._closed:
@@ -1287,8 +1299,12 @@ class ShardedPolicyService:
     # -- traffic -----------------------------------------------------------
     def submit(self, model: str, state: Any) -> "Future[ServeResult]":
         """One decision request; microbatched and routed to a shard.
-        The future is a plain ``concurrent.futures.Future``, also on an
-        event loop, and refuses ``cancel()``."""
+        The future refuses ``cancel()``.  On an event loop the request
+        is gathered with that loop's others and handed to the dispatcher
+        thread at the end of the loop's turn, and the future is one the
+        loop awaits directly, as on the in-process tier (see
+        :meth:`MicroBatcher.submit`); from a thread it is a plain
+        ``concurrent.futures.Future``."""
         return self._dispatcher.submit(model, state)
 
     def submit_async(self, model: str, state: Any):
@@ -1446,19 +1462,20 @@ class ShardedPolicyService:
     def _fail_requests(self, requests: List[_Request], ref: str,
                        detail: str) -> None:
         now = time.perf_counter()
-        for request in requests:
-            if request.future.done():  # belt: never double-resolve
-                continue
-            self._metrics.record(ref, 0, now - request.enqueued,
-                                 error=ERR_SHARD)
-            if request.trace is not None:
-                request.trace.finish(ok=False, now=now)
-                self.tracer.record(request.trace)
-            request.future.set_result(ServeResult(
-                ok=False, action=None, model=ref, version=0,
-                error=ERR_SHARD, detail=detail,
-                latency_s=now - request.enqueued,
-            ))
+        with batched_wakeups():
+            for request in requests:
+                if request.future.done():  # belt: never double-resolve
+                    continue
+                self._metrics.record(ref, 0, now - request.enqueued,
+                                     error=ERR_SHARD)
+                if request.trace is not None:
+                    request.trace.finish(ok=False, now=now)
+                    self.tracer.record(request.trace)
+                request.future.set_result(ServeResult(
+                    ok=False, action=None, model=ref, version=0,
+                    error=ERR_SHARD, detail=detail,
+                    latency_s=now - request.enqueued,
+                ))
 
     def _fail_chunk(self, chunk: _BulkChunk, detail: str) -> None:
         ref = chunk.job.model
@@ -1509,10 +1526,15 @@ class ShardedPolicyService:
                 entry.result = payload
                 entry.event.set()
             elif isinstance(entry, _PredictJob):
-                self._complete_predict(entry, ok, payload)
+                # One wake-up per client loop for the whole reply frame.
+                with batched_wakeups():
+                    self._complete_predict(entry, ok, payload)
             elif isinstance(entry, _BulkChunk):
                 self._complete_chunk(entry, ok, payload)
         self._on_shard_death(shard)
+        # Nothing reads this channel again, and a healed shard leaves
+        # the fleet list that close() walks: close it here.
+        shard.close_transport()
 
     def _complete_predict(self, job: _PredictJob, ok: bool,
                           payload) -> None:
@@ -2302,10 +2324,7 @@ class ShardedPolicyService:
                 except RuntimeError:
                     pass
         for shard in self._shards:
-            try:
-                shard.transport.close()
-            except Exception:  # noqa: BLE001 - teardown best effort
-                pass
+            shard.close_transport()
             if shard.reader is not None:
                 shard.reader.join(timeout=10.0)
             shard.process.join(timeout=10.0)

@@ -1,6 +1,8 @@
 """Tests for the elastic cluster tier: load-aware routing, shard
 autoscaling, and self-healing control-log replay."""
 
+import os
+import signal
 import threading
 import time
 
@@ -451,6 +453,30 @@ class TestSelfHealing:
             gone = svc.submit("m@2", x[0]).result(30)
             assert (gone.ok, gone.error) == (False, "unknown_model")
             assert svc.submit("m@3", x[0]).result(30).ok
+
+    def test_healed_shards_predecessor_is_closed_and_reaped(
+        self, toy, transport
+    ):
+        tree, x = toy
+        with ShardedPolicyService(n_shards=1, self_heal=True,
+                                  transport=transport) as svc:
+            svc.publish("m", PolicyArtifact.from_tree(tree, name="m"))
+            dead = svc._shards[0]
+            # Killed behind the service's back: no kill_shard join.
+            os.kill(dead.process.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 20.0
+            while dead in svc._shards and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert dead not in svc._shards, "replacement never came up"
+            dead.reader.join(timeout=10)
+            assert not dead.reader.is_alive()
+            if transport == "pipe":
+                assert dead.transport._conn.closed
+            else:
+                assert dead.transport._sock.fileno() == -1
+            with pytest.raises(ChildProcessError):  # already reaped
+                os.waitpid(dead.process.pid, os.WNOHANG)
+            assert svc.submit("m", x[0]).result(30).ok
 
     def test_publish_after_heal_stays_in_lockstep(self, toy):
         tree, x = toy

@@ -345,7 +345,7 @@ class TestLoopFuture:
         assert type(from_thread) is concurrent.futures.Future
         assert not asyncio.isfuture(from_thread)
 
-    def test_cluster_submit_on_a_loop_returns_a_plain_future(self, toy):
+    def test_cluster_submit_on_a_loop_returns_a_loop_future(self, toy):
         from repro.serve.cluster import ShardedPolicyService
 
         tree, x = toy
@@ -354,12 +354,15 @@ class TestLoopFuture:
 
             async def main():
                 future = service.submit("toy", x[0])
-                return future, await asyncio.wrap_future(future)
+                return future, asyncio.wrap_future(future), await future
 
-            future, result = asyncio.run(main())
-        assert type(future) is concurrent.futures.Future
-        assert not asyncio.isfuture(future)
+            future, wrapped, result = asyncio.run(main())
+            from_thread = service.submit("toy", x[1])
+            assert from_thread.result(timeout=10).ok
+        assert wrapped is future
+        assert isinstance(future, concurrent.futures.Future)
         assert result.ok and result.action == tree.predict(x[:1])[0]
+        assert type(from_thread) is concurrent.futures.Future
 
     def test_gather_wait_and_shield(self, toy):
         tree, x = toy
@@ -495,6 +498,224 @@ TIERS = [
 ]
 
 
+@pytest.mark.parametrize("transport", ["pipe", "socket"])
+class TestClusterLoopPath:
+    """The cluster tier gathers a loop's requests on that loop, hands the
+    batch to its dispatcher thread at the end of the turn, and wakes the
+    loop once per reply frame."""
+
+    def test_gathered_coroutines_ship_as_one_flush_group(
+        self, toy, transport, monkeypatch
+    ):
+        from repro.serve.cluster import ShardedPolicyService
+
+        # A turn stalled past the adoption age (a GC pause, a busy host)
+        # would let the dispatcher thread take half the batch early.
+        monkeypatch.setattr("repro.serve.batcher.ADOPT_AFTER_S", 10.0)
+        tree, x = toy
+        n = 40
+        # A thread gather of 40 requests would wait out this deadline.
+        with ShardedPolicyService(n_shards=1, max_batch=64, max_delay_s=1.0,
+                                  transport=transport) as service:
+            service.publish("toy", PolicyArtifact.from_tree(tree))
+
+            async def main():
+                begin = time.perf_counter()
+                results = await asyncio.gather(*[
+                    asyncio.wrap_future(service.submit("toy", row))
+                    for row in x[:n]
+                ])
+                return results, time.perf_counter() - begin
+
+            results, took = asyncio.run(main())
+            sizes = service.metrics()["toy"]["batch_sizes"]
+        assert took < 0.5
+        assert sizes == {n: 1}
+        assert [r.action for r in results] == tree.predict(x[:n]).tolist()
+
+    def test_one_wakeup_per_reply_frame(self, toy, transport,
+                                        monkeypatch):
+        from repro.serve.cluster import ShardedPolicyService
+
+        # One frame only: no early adoption of a stalled turn's batch.
+        monkeypatch.setattr("repro.serve.batcher.ADOPT_AFTER_S", 10.0)
+        tree, x = toy
+        with ShardedPolicyService(n_shards=1, max_batch=64, max_delay_s=1.0,
+                                  transport=transport) as service:
+            service.publish("toy", PolicyArtifact.from_tree(tree))
+
+            async def main():
+                loop = asyncio.get_running_loop()
+                posts = []
+                post = loop.call_soon_threadsafe
+
+                def counted(*args, **kwargs):
+                    posts.append(threading.get_ident())
+                    return post(*args, **kwargs)
+
+                loop.call_soon_threadsafe = counted
+                futures = [service.submit("toy", row) for row in x[:40]]
+                resumed = []
+                for future in futures:
+                    future.add_done_callback(
+                        lambda _: resumed.append(threading.get_ident())
+                    )
+                results = await asyncio.gather(
+                    *map(asyncio.wrap_future, futures)
+                )
+                return results, list(posts), resumed, threading.get_ident()
+
+            results, posts, resumed, loop_thread = asyncio.run(main())
+            sizes = service.metrics()["toy"]["batch_sizes"]
+        assert sizes == {40: 1}  # one reply frame
+        assert len(posts) == 1 and posts[0] != loop_thread
+        assert resumed == [loop_thread] * 40
+        assert [r.action for r in results] == tree.predict(x[:40]).tolist()
+
+    def test_blocked_loop_is_answered(self, toy, transport):
+        from repro.serve.cluster import ShardedPolicyService
+
+        tree, x = toy
+        with ShardedPolicyService(n_shards=1, max_delay_s=1e-3,
+                                  transport=transport) as service:
+            service.publish("toy", PolicyArtifact.from_tree(tree))
+
+            async def main():
+                begin = time.perf_counter()
+                result = service.submit("toy", x[0]).result(timeout=2)
+                return result, time.perf_counter() - begin
+
+            result, waited = asyncio.run(main())
+        assert result.ok and result.action == tree.predict(x[:1])[0]
+        assert waited < 1.0
+
+    def test_unawaited_future_resolves_after_the_loop_closes(self, toy,
+                                                            transport):
+        from repro.serve.cluster import ShardedPolicyService
+
+        tree, x = toy
+        resolvers = []
+        with ShardedPolicyService(n_shards=1, max_delay_s=1e-3,
+                                  transport=transport) as service:
+            service.publish("toy", PolicyArtifact.from_tree(tree))
+
+            async def main():
+                return service.submit("toy", x[0])
+
+            returned = asyncio.run(main())
+            # Stopped in the turn that opened its batch: only the
+            # dispatcher thread's adoption can answer it.
+            loop = asyncio.new_event_loop()
+            orphaned = []
+
+            def submit_and_stop():
+                orphaned.append(_record_resolver(
+                    service.submit("toy", x[1]), resolvers
+                ))
+                loop.stop()
+
+            loop.call_soon(submit_and_stop)
+            loop.run_forever()
+            loop.close()
+            results = [returned.result(timeout=2),
+                       orphaned[0].result(timeout=2)]
+        assert [r.action for r in results] == tree.predict(x[:2]).tolist()
+        assert len(resolvers) == 1
+        assert resolvers[0] != threading.get_ident()
+
+    def test_close_resolves_pending_and_parked_loop_batches(self, toy,
+                                                            transport):
+        from repro.serve.cluster import ShardedPolicyService
+
+        tree, x = toy
+        service = ShardedPolicyService(n_shards=1, max_batch=8,
+                                       max_delay_s=1e-3,
+                                       transport=transport)
+        service.publish("toy", PolicyArtifact.from_tree(tree))
+        # A stopped (not closed) loop keeps its batch parked.
+        stopped = asyncio.new_event_loop()
+        parked = []
+
+        def submit_and_stop():
+            parked.extend(service.submit("toy", row) for row in x[20:30])
+            stopped.stop()
+
+        stopped.call_soon(submit_and_stop)
+        stopped.run_forever()
+
+        async def main():
+            futures = [service.submit("toy", row) for row in x[:20]]
+            service.close()  # before this turn ends and hands them over
+            return [f.done() for f in futures + parked], futures
+
+        try:
+            done, futures = asyncio.run(main())
+        finally:
+            stopped.close()
+        assert all(done)
+        actions = [f.result().action for f in futures + parked]
+        assert actions == tree.predict(x[:30]).tolist()
+        with pytest.raises(RuntimeError, match="closed"):
+            service.submit("toy", x[0])
+
+    def test_queue_depth_counts_pending_and_handed_over_batches(
+        self, toy, transport
+    ):
+        from repro.serve.cluster import ShardedPolicyService
+        from repro.serve.cluster.service import _ClusterDispatcher
+
+        tree, x = toy
+        with ShardedPolicyService(n_shards=1,
+                                  transport=transport) as service:
+            service.publish("toy", PolicyArtifact.from_tree(tree))
+            # Never started: no dispatcher thread takes the handed-over
+            # batch off the queue while its depth is read.
+            dispatcher = _ClusterDispatcher(service, max_batch=64)
+
+            async def main():
+                futures = [dispatcher.submit("toy", row) for row in x[:5]]
+                depths = [dispatcher.queue_depth()]
+                await asyncio.sleep(0)  # the turn ended: handed over
+                depths.append(dispatcher.queue_depth())
+                futures += [dispatcher.submit("toy", row)
+                            for row in x[5:8]]
+                depths.append(dispatcher.queue_depth())
+                dispatcher.close()  # ships both batches to the shard
+                depths.append(dispatcher.queue_depth())
+                return depths, await asyncio.gather(*futures)
+
+            depths, results = asyncio.run(main())
+        assert depths == [5, 5, 8, 0]
+        assert [r.action for r in results] == tree.predict(x[:8]).tolist()
+
+    def test_killed_shard_wakes_loop_tasks_with_shard_error(self, toy,
+                                                            transport):
+        from repro.serve.cluster import ShardedPolicyService
+        from repro.serve.loadgen import synthetic_artifact
+
+        tree, x = toy
+        with ShardedPolicyService(n_shards=1, max_delay_s=1e-3,
+                                  transport=transport) as service:
+            # Each predict holds the shard for 30 s: the frame is still
+            # in flight when the shard dies.
+            service.publish("slow", synthetic_artifact("slow", 30.0,
+                                                       n_features=5))
+
+            async def client(row):
+                return await service.submit("slow", row)
+
+            async def main():
+                tasks = [asyncio.ensure_future(client(row))
+                         for row in x[:8]]
+                await asyncio.sleep(0.2)
+                service.kill_shard(service._shards[0].shard_id)
+                return await asyncio.wait_for(asyncio.gather(*tasks), 10)
+
+            results = asyncio.run(main())
+        assert len(results) == 8
+        assert {(r.ok, r.error) for r in results} == {(False, "shard_error")}
+
+
 class TestCancelIsRefused:
     """Every accepted request is running from submit on: cancel() is
     refused, so no flush or reply ever meets a cancelled future."""
@@ -546,7 +767,10 @@ class TestLoopAndThreadStress:
     N_THREADS = 4
     PER_CLIENT = 30
 
-    def test_every_future_resolves_once_with_the_offline_answer(self, toy):
+    @pytest.mark.parametrize("kind, transport", TIERS)
+    def test_every_future_resolves_once_with_the_offline_answer(
+        self, toy, kind, transport
+    ):
         tree, x = toy
         artifact = PolicyArtifact.from_tree(tree)
         expected = np.asarray(artifact.predict_batch(x)).tolist()
@@ -603,10 +827,18 @@ class TestLoopAndThreadStress:
 
         total = (self.N_LOOPS * self.COROUTINES + self.N_THREADS) \
             * self.PER_CLIENT
+        if kind == "process":
+            tier = PolicyServer(max_batch=16, max_delay_s=1e-3)
+        else:
+            from repro.serve.cluster import ShardedPolicyService
+
+            tier = ShardedPolicyService(n_shards=2, max_batch=16,
+                                        max_delay_s=1e-3,
+                                        transport=transport)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with PolicyServer(max_batch=16, max_delay_s=1e-3) as server:
+            with tier as server:
                 server.publish("toy", artifact)
                 threads = [
                     threading.Thread(target=guarded,
