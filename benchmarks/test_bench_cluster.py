@@ -26,14 +26,9 @@ path.  Three benchmarks here, all appending to ``BENCH_cluster.json``
   saturate-then-idle cycle, and shard-kill recovery under ``self_heal``
   (time until a replacement replica serves, replica-state fingerprint
   equality, zero dropped futures).
-* **transport** — the same workload through the same fleet over both
-  transports: single-host pipes (the zero-regression default) vs
-  localhost TCP sockets speaking the same wire protocol.  Records the
-  socket path's dispatch-latency overhead (closed-loop p50/p99 delta)
-  and aggregate-throughput ratio, plus the per-transport wire byte
-  counters from ``cluster_metrics()``.  Local floor only asserts the
-  socket path stays within an order of magnitude — the record is the
-  deliverable, not a race.
+
+Earlier records with ``benchmark: "cluster-transport"`` compared the
+pipe with a localhost-socket transport that has since been removed.
 
 ``BENCH_REPORT_ONLY=1`` records without asserting (CI smoke mode —
 shared runners cannot promise multi-process timing floors).
@@ -83,11 +78,6 @@ MIN_SPEEDUP_VS_BEST = 1.5
 MIN_ROUTING_GAIN = 1.02
 #: Back-to-back round-robin/least-loaded pairs; the gain is their median.
 ROUTING_ROUNDS = 5
-#: The localhost-socket path serializes every batch through the wire
-#: codec plus a TCP hop, so it is expected to trail the pipe path; the
-#: floor only catches a catastrophic regression (a stalled reader, a
-#: per-request reconnect), not codec cost.  Measured ~0.6-0.9x locally.
-MIN_SOCKET_THROUGHPUT_RATIO = 0.1
 
 
 def _bulk_rps(server, model: str, pool: np.ndarray, passes: int) -> float:
@@ -419,88 +409,3 @@ def test_bench_cluster_elasticity():
     assert recovery_s is not None, "replacement shard never came up"
     assert dropped == 0, f"{dropped} futures dropped during the kill"
     assert replicas_identical, "healed replica diverged"
-
-
-# ----------------------------------------------------------------------
-# transport: single-host pipe vs localhost socket overhead
-# ----------------------------------------------------------------------
-def _transport_run(transport: str, artifact, pool: np.ndarray) -> dict:
-    """The distilled-ABR workload through a fleet on ``transport``."""
-    with ShardedPolicyService(
-        n_shards=N_SHARDS, max_batch=128, max_delay_s=1e-3,
-        transport=transport,
-    ) as service:
-        service.publish("abr", artifact)
-        service.predict("abr", pool[:64])  # warm-up
-        closed = run_load_async(
-            service, "abr", pool[:2048],
-            n_clients=16, scenario=f"{transport}-closed-loop", warmup=8,
-        )
-        bulk = run_load_async(
-            service, "abr", pool,
-            n_clients=16, chunk=BULK_CHUNK, repeats=2,
-            scenario=f"{transport}-bulk",
-        )
-        wire = service.cluster_metrics()["transport"]
-    return {
-        "closed_loop_rps": closed.throughput_rps,
-        "closed_loop_p50_ms": closed.latency_p50_ms,
-        "closed_loop_p99_ms": closed.latency_p99_ms,
-        "bulk_rps": bulk.throughput_rps,
-        "n_errors": closed.n_errors + bulk.n_errors,
-        "bytes_sent": sum(
-            shard["bytes_sent"] for shard in wire["per_shard"].values()
-        ),
-        "bytes_received": sum(
-            shard["bytes_received"]
-            for shard in wire["per_shard"].values()
-        ),
-    }
-
-
-def test_bench_cluster_transport_overhead():
-    """Record what the localhost-socket transport costs vs pipes.
-
-    Same fleet size, same artifact, same workload — the only moving
-    part is how frames reach the workers.  The dispatch-latency deltas
-    and the throughput ratio are the published overhead numbers the
-    docs cite; the byte counters show the wire traffic each path paid.
-    """
-    tree, abr_states = _distilled_abr()
-    artifact = PolicyArtifact.from_tree(tree, name="abr-distilled")
-    pool = abr_states[
-        np.random.default_rng(2).integers(0, len(abr_states), 4096)
-    ]
-
-    pipe = _transport_run("pipe", artifact, pool)
-    sock = _transport_run("socket", artifact, pool)
-
-    throughput_ratio = (
-        sock["bulk_rps"] / pipe["bulk_rps"] if pipe["bulk_rps"] > 0
-        else 0.0
-    )
-    record = {
-        "benchmark": "cluster-transport",
-        "n_shards": N_SHARDS,
-        "pipe": pipe,
-        "socket": sock,
-        "socket_dispatch_overhead_p50_ms": (
-            sock["closed_loop_p50_ms"] - pipe["closed_loop_p50_ms"]
-        ),
-        "socket_dispatch_overhead_p99_ms": (
-            sock["closed_loop_p99_ms"] - pipe["closed_loop_p99_ms"]
-        ),
-        "socket_throughput_ratio": throughput_ratio,
-    }
-    record_run(BENCH_PATH, record)
-
-    if REPORT_ONLY:
-        return
-    assert pipe["n_errors"] == 0
-    assert sock["n_errors"] == 0
-    assert sock["bytes_sent"] > 0 and sock["bytes_received"] > 0
-    assert throughput_ratio >= MIN_SOCKET_THROUGHPUT_RATIO, (
-        f"socket transport only {throughput_ratio:.2f}x the pipe "
-        f"path ({sock['bulk_rps']:.0f} vs {pipe['bulk_rps']:.0f} "
-        f"req/s) — the wire path has regressed beyond codec cost"
-    )

@@ -486,25 +486,6 @@ def _touch(path: Path) -> None:
         pass
 
 
-def kernel_bytes(khash: str) -> Optional[bytes]:
-    """Raw ``.so`` bytes for shipping to another host, if cached."""
-    if not khash:
-        return None
-    try:
-        return (cache_dir() / f"{khash}.so").read_bytes()
-    except OSError:
-        return None
-
-
-def install_kernel_bytes(khash: str, data: bytes) -> Path:
-    """Drop shipped ``.so`` bytes into the local cache (atomic)."""
-    path = cache_dir() / f"{khash}.so"
-    if not path.exists():
-        _atomic_write(path, data)
-        _prune_cache(cache_dir())
-    return path
-
-
 # -- loading --------------------------------------------------------------
 class NativeKernel:
     """One dlopened kernel: hash-verified, ready for batch calls."""

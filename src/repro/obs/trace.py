@@ -8,7 +8,7 @@ A trace answers "where did this request's 4 ms go?".  The lifecycle:
 2. the record rides the request slot through the flush group.  The
    batcher stamps ``t_flush`` (queue wait ends, batch assembly
    begins); the cluster dispatcher stamps ``t_send`` just before the
-   frame hits the socket and forwards the trace id in the frame's
+   frame hits the shard's pipe and forwards the trace id in the frame's
    optional trace field (``WIRE_VERSION`` 2);
 3. the worker continues the trace id inside ``handle_frame`` and
    returns *durations* (``service_s``, ``kernel_s``) in the reply —

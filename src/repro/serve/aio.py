@@ -11,27 +11,20 @@ loop, and their futures are ones the loop's Tasks await directly
 :class:`~repro.serve.server.PolicyServer` flushes the batch on the loop
 at the end of the loop turn, so coroutines are predicted and resumed
 with no cross-thread wake-up.  The cluster tier hands the batch to its
-dispatcher thread instead (its flush writes to shard pipes and
-sockets), and each reply frame wakes the loop once.
+dispatcher thread instead (its flush writes to shard pipes), and each
+reply frame wakes the loop once.
 
 Works over anything with the server surface — a
 :class:`~repro.serve.server.PolicyServer` or a
 :class:`~repro.serve.cluster.ShardedPolicyService` — and automatically
 uses the cluster's bulk ``submit_batch`` path for ``predict_many`` when
 the backend offers one.
-
-:class:`AsyncWorkerClient` (PR 6) is the other side of the socket
-transport: a socket-mode shard worker runs an asyncio TCP server
-speaking the :mod:`repro.serve.cluster.wire` protocol, and this client
-connects to it *directly* — the same frames the parent sends, without
-going through the parent at all.  ``ShardedPolicyService
-.worker_endpoints()`` lists where to connect.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, List, Sequence, Tuple
+from typing import Any, List, Sequence
 
 import numpy as np
 
@@ -98,96 +91,4 @@ class AsyncPolicyClient:
         return result.action
 
 
-class AsyncWorkerClient:
-    """Direct wire-protocol connection to one socket-mode shard worker.
-
-    The worker's asyncio server multiplexes any number of connections
-    (dispatch stays serialized on its loop), so an out-of-band client
-    can probe or read a worker the parent is actively driving.  Only
-    *read-side* ops make sense from here — ``ping``, ``describe``,
-    ``metrics``, ``predict`` — because control mutations must go
-    through the parent's lockstep broadcast or the replicas diverge.
-
-    Requests run strictly sequentially per client (an asyncio lock
-    serializes them): the wire protocol correlates replies by
-    ``msg_id``, but one connection is FIFO anyway, and a worker serves
-    one request at a time.
-
-    Usage::
-
-        host, port = service.worker_endpoints()[0]
-        client = await AsyncWorkerClient.connect(host, port)
-        try:
-            state = await client.describe()
-        finally:
-            await client.close()
-    """
-
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter) -> None:
-        self._reader = reader
-        self._writer = writer
-        self._lock = asyncio.Lock()
-        self._msg_id = 0
-
-    @classmethod
-    async def connect(cls, host: str, port: int) -> "AsyncWorkerClient":
-        reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer)
-
-    async def request(self, op: str, payload: Any = None) -> Any:
-        """One wire round-trip; raises :class:`ServeError` when the
-        worker replies with an error frame."""
-        from repro.serve.cluster.wire import (
-            HEADER_SIZE, Request, decode_frame, encode_request,
-            frame_size,
-        )
-
-        async with self._lock:
-            self._msg_id += 1
-            msg_id = self._msg_id
-            self._writer.write(
-                encode_request(Request(msg_id, op, payload))
-            )
-            await self._writer.drain()
-            header = await self._reader.readexactly(HEADER_SIZE)
-            body = await self._reader.readexactly(
-                frame_size(header) - HEADER_SIZE
-            )
-        reply = decode_frame(header + body)
-        if reply.msg_id != msg_id:
-            raise ServeError(
-                f"worker answered msg {reply.msg_id}, expected {msg_id}"
-            )
-        if not reply.ok:
-            raise ServeError(f"worker rejected {op!r}: {reply.payload}")
-        return reply.payload
-
-    async def ping(self) -> Tuple[str, int]:
-        """Liveness probe: ``("pong", shard_id)``."""
-        return await self.request("ping")
-
-    async def describe(self) -> dict:
-        """The worker's control-state fingerprint (same payload the
-        parent's ``replica_states()`` collects)."""
-        return await self.request("describe")
-
-    async def metrics(self) -> dict:
-        """The worker's per-model service metrics snapshot."""
-        return await self.request("metrics")
-
-    async def predict(self, ref: str, x: Any) -> dict:
-        """Serve a batch on the worker, bypassing the parent's
-        batcher/router (``x`` is a 2-D float array)."""
-        rows = np.atleast_2d(np.asarray(x, dtype=float))
-        return await self.request("predict", (ref, rows))
-
-    async def close(self) -> None:
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-
-__all__ = ["AsyncPolicyClient", "AsyncWorkerClient"]
+__all__ = ["AsyncPolicyClient"]

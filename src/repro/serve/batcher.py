@@ -354,7 +354,7 @@ class MicroBatcher:
     #: What the end-of-turn callback does with a loop's batch: flush it
     #: on the loop (True), or hand it whole to the batcher thread in one
     #: queue put, to be flushed there at once (False).  A subclass whose
-    #: flush blocks (the cluster dispatcher writes to pipes and sockets)
+    #: flush blocks (the cluster dispatcher writes to shard pipes)
     #: turns it off, so no flush stalls a client loop.  Loop callers get
     #: a :class:`_LoopFuture` either way.
     flush_on_loop = True

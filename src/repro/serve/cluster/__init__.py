@@ -2,18 +2,14 @@
 :mod:`repro.serve`.
 
 * :mod:`~repro.serve.cluster.wire` — the versioned, length-prefixed
-  binary wire protocol every parent<->worker exchange speaks (one
-  codec, shared by all transports);
-* :mod:`~repro.serve.cluster.transport` — how frames move:
-  ``PipeTransport`` (the zero-regression default) and
-  ``SocketTransport`` (asyncio TCP server on the worker side), plus
-  the worker-spawn factories;
+  binary wire protocol every parent<->worker exchange speaks;
+* :mod:`~repro.serve.cluster.transport` — how frames move: each
+  worker's duplex pipe to its parent (``PipeTransport``), the worker's
+  serve loop, and the worker spawn function;
 * :mod:`~repro.serve.cluster.shm` — zero-copy shipping of flat tree
   arrays to workers through ``multiprocessing.shared_memory``, content
   and transport hashes verified on reconstruct (and re-verified when a
-  replacement replica re-attaches during log replay); socket fleets
-  add a host-level artifact cache so each host receives each
-  artifact's bytes once;
+  replacement replica re-attaches during log replay);
 * :mod:`~repro.serve.cluster.worker` — shard process: a full registry /
   metrics / splitter replica answering stacked predict batches and
   reporting its service time with every reply;
@@ -24,10 +20,10 @@
   shrinks the fleet from the adaptive-delay fill estimate, queue depth,
   and a p95 SLO;
 * :mod:`~repro.serve.cluster.service` — :class:`ShardedPolicyService`,
-  the front door: front-end microbatching, load-aware routing, bulk
-  ``submit_batch``, self-healing shard replacement by control-log
-  replay, cluster-level metrics aggregation, canary and shadow splits
-  broadcast to every shard.
+  a :class:`~repro.serve.server.PolicyServer` whose flushes go to
+  shards: load-aware routing, bulk ``submit_batch``, self-healing shard
+  replacement by control-log replay, cluster-level metrics
+  aggregation, and every control change replicated to every shard.
 """
 
 from repro.serve.cluster.autoscale import (
@@ -48,20 +44,11 @@ from repro.serve.cluster.shm import (
     segment_footprint,
     share_artifact,
 )
-from repro.serve.cluster.transport import (
-    TRANSPORTS,
-    Listener,
-    PipeTransport,
-    SocketTransport,
-    Transport,
-    WorkerFactory,
-    make_worker_transport,
-)
+from repro.serve.cluster.transport import PipeTransport
 from repro.serve.cluster.wire import (
     OPS,
     Reply,
     Request,
-    WireArtifact,
     WireError,
     decode_frame,
     encode_reply,
@@ -85,16 +72,9 @@ __all__ = [
     "Autoscaler",
     "AutoscaleConfig",
     "AutoscaleSignals",
-    "Transport",
     "PipeTransport",
-    "SocketTransport",
-    "Listener",
-    "WorkerFactory",
-    "make_worker_transport",
-    "TRANSPORTS",
     "Request",
     "Reply",
-    "WireArtifact",
     "WireError",
     "OPS",
     "encode_request",

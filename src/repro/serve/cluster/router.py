@@ -52,10 +52,7 @@ class Router:
     predict groups), ``ewma_service_s`` (EWMA of worker-reported
     service time, 0.0 until the first reply), and ``ewma_by_model``
     (the same signal keyed by requested ref) and must not mutate them.
-
-    Back-compat: routers written against the pre-PR-6 single-argument
-    ``select(shards)`` signature still work — the service inspects the
-    signature once and calls them without ``ref``.
+    The service always calls ``select(shards, ref)``.
     """
 
     name = "router"

@@ -1,13 +1,19 @@
 """Sharded multi-process policy serving — the elastic cluster tier.
 
-:class:`ShardedPolicyService` scales the PR-3 serving stack past the
-GIL: N worker processes each hold a full registry replica (model arrays
-shared zero-copy through :mod:`repro.serve.cluster.shm`), a front-end
-microbatcher coalesces single-state requests exactly like the
-single-process server, and whole flush groups ship to shards as stacked
-arrays — one IPC message per group, never per request.
+:class:`ShardedPolicyService` is a :class:`~repro.serve.server.PolicyServer`
+whose flushes go to shards.  N worker processes each hold a full
+registry replica (model arrays shared zero-copy through
+:mod:`repro.serve.cluster.shm`); the inherited front end gathers
+single-state requests exactly like the single-process server, and its
+batcher, :class:`_ClusterDispatcher`, ships whole flush groups to
+shards as stacked arrays — one wire frame per group, never per request.
+The control plane is ``PolicyServer``'s: registry mirror, split table,
+journal, metrics hub, tracer, flight recorder, exporter, health monitor,
+online loop and lifecycle.  What the cluster adds is the shard pool,
+and one hook, :meth:`ShardedPolicyService._replicate`, that carries
+every control change into it.
 
-Since PR 5 the fan-out is *elastic* rather than static:
+The pool is *elastic*:
 
 * **load-aware routing** — flush groups are placed by a pluggable
   :class:`~repro.serve.cluster.router.Router` (default: least expected
@@ -28,24 +34,17 @@ Since PR 5 the fan-out is *elastic* rather than static:
   returns without a restart and without a byte of divergence
   (:meth:`replica_states` proves it).
 
-Since PR 6 the worker protocol is explicit and the channel pluggable:
-messages travel as versioned wire frames
-(:mod:`repro.serve.cluster.wire`) over a
-:class:`~repro.serve.cluster.transport.Transport` —
-``transport="pipe"`` (default, bit-for-bit the old duplex-pipe
-behavior) or ``transport="socket"`` (workers run an asyncio TCP
-server; the design template for multi-host fleets).  Artifact shipping
-is transport-aware: co-located shards attach the parent's shm segments
-by transport hash as before, while socket shards receive the raw
-artifact bytes **once per host** into a named host-level cache segment
-keyed by transport hash — later publishes and heal-replays of the same
-bytes ship only the key, and workers attach to the cached copy.
+Messages travel as versioned wire frames
+(:mod:`repro.serve.cluster.wire`) over each worker's duplex pipe
+(:class:`~repro.serve.cluster.transport.PipeTransport`).
 
 What the parent keeps:
 
-* a **mirror registry** — publishes validate and version here first, so
-  version numbers are authoritative and `retire`'s refusal paths run
-  before anything is broadcast;
+* the **mirror registry and split table** — publishes validate and
+  version here first, so version numbers are authoritative and
+  `retire`'s refusal paths run before anything is broadcast; the
+  split table never routes (the dispatcher only ships rows), it backs
+  the retire guard and :meth:`replica_states`;
 * the **control log** — the single linearized history replay works
   from;
 * **end-to-end metrics** — client-observed latency (queue + IPC +
@@ -64,22 +63,18 @@ shadow answers that never reach a client future.
 
 from __future__ import annotations
 
-import hashlib
-import inspect
+import functools
 import itertools
 import multiprocessing as mp
 import pickle
-import secrets
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import replace as dataclass_replace
-from multiprocessing import shared_memory
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.serve.adaptive import AdaptiveDelay, batching_state
+from repro.obs.metrics import render_text, with_labels
 from repro.serve.artifact import PolicyArtifact
 from repro.serve.batcher import (
     MicroBatcher,
@@ -92,41 +87,20 @@ from repro.serve.cluster.autoscale import AutoscaleConfig, Autoscaler
 from repro.serve.cluster.router import Router, make_router
 from repro.serve.cluster.shm import (
     ensure_tracker_running,
-    host_cache_segment_name,
     segment_footprint,
     share_artifact,
 )
-from repro.serve.cluster.transport import (
-    Transport,
-    WorkerFactory,
-    make_worker_transport,
-)
+from repro.serve.cluster.transport import PipeTransport, spawn_pipe_worker
 from repro.serve.cluster.wire import (
-    Reply,
     Request as WireRequest,
-    WireArtifact,
     WireError,
     decode_frame,
     encode_request,
 )
-from repro.obs.events import EventJournal
-from repro.obs.metrics import MetricsHub, render_text, with_labels
-from repro.obs.postmortem import FlightRecorder
-from repro.obs.trace import Tracer
 from repro.serve.cluster.worker import ERR_SHARD
 from repro.serve.registry import ModelRegistry, control_state_digest
-from repro.serve.server import (
-    ServeError,
-    ServerMetrics,
-    register_serving_collectors,
-)
-from repro.serve.splitter import (
-    TrafficSplit,
-    TrafficSplitter,
-    check_split_targets,
-    guard_retire_against_splits,
-    split_state,
-)
+from repro.serve.server import PolicyServer, ServeError
+from repro.serve.splitter import TrafficSplitter, split_state
 from repro.utils.rng import SeedLike
 
 _RPC_TIMEOUT_S = 60.0
@@ -136,87 +110,13 @@ _RPC_TIMEOUT_S = 60.0
 _SERVICE_EWMA_ALPHA = 0.3
 
 
-def _select_takes_ref(router: Router) -> bool:
-    """Whether ``router.select`` accepts the routed reference.
-
-    The Router interface grew ``select(shards, ref=None)`` for
-    per-model load estimates; custom routers written against the old
-    one-argument surface must keep working, so the service inspects
-    the signature once and calls accordingly.
-    """
+def _release(shm) -> None:
+    """Close and unlink one parent-owned segment, best effort."""
     try:
-        parameters = inspect.signature(router.select).parameters
-    except (TypeError, ValueError):
-        return True
-    if any(p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-           for p in parameters.values()):
-        return True
-    return "ref" in parameters or len(parameters) >= 2
-
-
-class _ArtifactShipment:
-    """Transport-neutral record of one published artifact's bytes.
-
-    Control-log publish entries store one of these instead of a
-    concrete payload: at broadcast/replay time the service resolves it
-    per shard — the shm handle (or pickled bytes) for co-located
-    shards, a :class:`WireArtifact` for remote ones, with the raw
-    bytes included only for hosts that don't hold the key yet.  The
-    parent's own segment (kept in ``_segments`` for the version's
-    life) doubles as the byte source for late remote replays, so
-    nothing is serialized twice.
-    """
-
-    __slots__ = ("handle", "shm", "pickled", "key", "segment",
-                 "wire_handle", "kernel_hash")
-
-    def __init__(self, handle, shm, pickled, cache_token: str) -> None:
-        self.handle = handle
-        self.shm = shm
-        self.pickled = pickled
-        # Compiled-kernel provenance travels in the handle's meta; the
-        # hash is what keys the .so in every host's kernel cache.
-        self.kernel_hash = ""
-        if handle is not None:
-            kernel_meta = handle.meta.get("kernel") or {}
-            self.kernel_hash = kernel_meta.get("hash") or ""
-        if handle is not None:
-            self.key = handle.transport_hash
-        elif pickled is not None:
-            self.key = hashlib.sha256(pickled).hexdigest()[:16]
-        else:
-            self.key = None
-        if self.key is not None:
-            self.segment = host_cache_segment_name(cache_token, self.key)
-            self.wire_handle = (
-                dataclass_replace(handle, shm_name=self.segment)
-                if handle is not None else None
-            )
-        else:
-            self.segment = None
-            self.wire_handle = None
-
-    def wire_bytes(self) -> bytes:
-        """The raw bytes a remote host's cache segment is filled
-        with: the parent segment's contents for trees, the pickle
-        otherwise."""
-        if self.shm is not None:
-            return bytes(self.shm.buf)
-        return self.pickled
-
-    def kernel_bytes(self) -> Optional[bytes]:
-        """The compiled kernel's ``.so`` bytes for shipping, if any.
-
-        Read from the parent's kernel cache at broadcast/replay time
-        (not pinned at publish) so late replays still find them; a
-        pruned or never-compiled kernel returns None and the remote
-        worker compiles for itself or serves numpy.
-        """
-        if not self.kernel_hash:
-            return None
-        from repro.core.tree import native
-
-        return native.kernel_bytes(self.kernel_hash)
+        shm.close()
+        shm.unlink()
+    except Exception:  # noqa: BLE001 - release best effort
+        pass
 
 
 class _Shard:
@@ -237,7 +137,7 @@ class _Shard:
                  "ewma_by_model", "draining")
 
     def __init__(self, shard_id: int, process,
-                 transport: Transport) -> None:
+                 transport: PipeTransport) -> None:
         self.shard_id = shard_id
         self.process = process
         self.transport = transport
@@ -259,8 +159,8 @@ class _Shard:
                 pass
 
     def send(self, msg_id: int, op: str, payload, trace=None) -> None:
-        """Encode and ship one request frame (sends serialized — two
-        threads interleaving a socket write would tear the stream).
+        """Encode and ship one request frame (sends serialized — the
+        dispatcher, control RPCs and repairs all write to one pipe).
         ``trace`` rides in the optional v2 wire field; leaving it None
         keeps the frame byte-identical to the v1 encoding."""
         frame = encode_request(WireRequest(msg_id, op, payload, trace=trace))
@@ -357,7 +257,7 @@ class _ClusterDispatcher(MicroBatcher):
     replaced — instead of predicting locally it stacks each reference's
     rows and hands the group to the service for routing.  Requests from
     an event loop are gathered on their loop as on the in-process tier,
-    but since this flush makes blocking pipe/socket writes, the loop
+    but since this flush makes blocking pipe writes, the loop
     hands its whole batch to the batcher thread at the end of its turn
     (``flush_on_loop`` off) instead of flushing it there.
     """
@@ -394,9 +294,9 @@ class _ClusterDispatcher(MicroBatcher):
                 self._service._dispatch_group(ref, group)
 
 
-class ShardedPolicyService:
-    """Elastic multi-process serving front door (same surface as
-    PolicyServer).
+class ShardedPolicyService(PolicyServer):
+    """Elastic multi-process serving front door: a
+    :class:`~repro.serve.server.PolicyServer` whose flushes go to shards.
 
     Args:
         n_shards: initial worker process count (the autoscaler, if
@@ -427,13 +327,6 @@ class ShardedPolicyService:
         start_method: multiprocessing start method; default prefers
             ``fork`` (instant, shares the imported interpreter) and
             falls back to the platform default.
-        transport: how frames reach the workers — ``"pipe"`` (default:
-            duplex ``multiprocessing`` pipes, shm artifact handles,
-            bit-for-bit the pre-transport behavior) or ``"socket"``
-            (workers serve wire frames over TCP; artifacts ship as
-            bytes once per host into the host-level cache).  A
-            :class:`~repro.serve.cluster.transport.WorkerFactory`
-            instance plugs in a custom transport.
         trace_sample: fraction of front-end requests to trace across
             the whole pipeline (queue-wait / batch-assembly / wire /
             worker-service / kernel spans); 0 disables tracing.
@@ -442,6 +335,8 @@ class ShardedPolicyService:
             port at construction (0 = ephemeral).  ``/metrics`` merges
             the parent hub with every live worker's hub snapshot under
             per-shard labels.
+        postmortem_dir: black-box bundle directory, as on
+            :class:`~repro.serve.server.PolicyServer`.
 
     Usage::
 
@@ -458,14 +353,12 @@ class ShardedPolicyService:
         registry: Optional[ModelRegistry] = None,
         max_batch: int = 128,
         max_delay_s: float = 1e-3,
-        max_latency_samples: int = 200_000,
         adaptive_delay: bool = False,
         routing: Union[str, Router] = "least_loaded",
         self_heal: bool = False,
         autoscale: Optional[AutoscaleConfig] = None,
         split_seed: SeedLike = None,
         start_method: Optional[str] = None,
-        transport: Union[str, WorkerFactory] = "pipe",
         trace_sample: float = 0.0,
         exporter_port: Optional[int] = None,
         postmortem_dir: Optional[str] = None,
@@ -477,12 +370,6 @@ class ShardedPolicyService:
         self._hash_affinity = routing == "hash"
         self._router = make_router(routing)
         self.routing = routing if isinstance(routing, str) else routing.name
-        # Custom routers predating per-model routing define
-        # ``select(self, shards)``; detect the old arity once so they
-        # keep working unchanged next to ref-aware routers.
-        self._router_takes_ref = _select_takes_ref(self._router)
-        self._worker_transport = make_worker_transport(transport)
-        self.transport = self._worker_transport.name
         # Validate the batcher knobs *before* anything spawns; the
         # dispatcher would reject them anyway, but only after worker
         # processes exist.
@@ -492,62 +379,17 @@ class ShardedPolicyService:
             raise ValueError("max_delay_s must be non-negative")
         self.n_shards = n_shards
         self.self_heal = bool(self_heal)
-        self.registry = registry if registry is not None else ModelRegistry()
-        self.hub = MetricsHub()
-        self.tracer = Tracer(sample_rate=trace_sample)
-        #: The cluster's merged flight log: parent-side control and
-        #: lifecycle events land here directly; worker journals are
-        #: drained over the ``events_since`` op and re-sequenced in
-        #: under a ``shard`` label (see :meth:`events`).
-        self.journal = EventJournal(hub=self.hub)
-        self.registry.journal = self.journal
-        #: Per-shard high-water mark of drained worker event seqs.
-        self._worker_event_seq: Dict[int, int] = {}
-        self._events_lock = threading.Lock()
-        #: Parent-side trace-capture ring (None until
-        #: :meth:`start_online`): worker rings drain into it over the
-        #: ``capture_drain`` op under the same per-shard high-water
-        #: discipline as the journal.
-        self.capture = None
-        self._worker_capture_seq: Dict[int, int] = {}
-        self._capture_lock = threading.Lock()
-        self._metrics = ServerMetrics(max_latency_samples, hub=self.hub)
-        self._m_routed = self.hub.counter(
-            "repro_router_decisions_total",
-            "Flush groups dispatched, per target shard",
-        )
-        self.exporter = None
-        self.health = None
-        self.online = None
-        #: Black-box capture for shard deaths, publish rollbacks and
-        #: page-severity alerts (disabled unless a directory is
-        #: configured via the argument or $REPRO_POSTMORTEM_DIR).
-        self.recorder = FlightRecorder(
-            directory=postmortem_dir,
-            journal=self.journal,
-            metrics_fn=self.render_metrics,
-            tracer=self.tracer,
-            state_fn=self._blackbox_state,
-        )
+        #: Per-op, per-shard high-water marks of drained worker journal
+        #: events and capture entries (see :meth:`_drain_workers`).
+        self._drained: Dict[str, Dict[int, int]] = {
+            "events_since": {}, "capture_drain": {},
+        }
+        self._drain_lock = threading.Lock()
         #: (name, version) -> SharedMemory the parent owns; released on
         #: retire (workers unmapped theirs) or at close.  Kept alive for
         #: the version's whole life — replacement replicas re-attach
         #: these segments during log replay.
         self._segments: Dict[Tuple[str, int], Any] = {}
-        #: Host-level artifact cache bookkeeping (remote transports).
-        #: A wire key (transport hash) maps to the hosts whose named
-        #: cache segment already holds the bytes, and to the number of
-        #: live versions referencing it — the parent unlinks the cache
-        #: segment when the last one retires.  The token scopes the
-        #: deterministic segment names to this service instance.
-        self._cache_token = secrets.token_hex(3)
-        self._cache_hosts: Dict[str, set] = {}
-        self._cache_refs: Dict[str, int] = {}
-        self._version_keys: Dict[Tuple[str, int], str] = {}
-        self._remote_fleet = self._worker_transport.locality == "remote"
-        #: Parent-side record of active splits (workers hold the live
-        #: routing state; this mirror backs the retire refusal check).
-        self._splits: Dict[str, TrafficSplit] = {}
         #: Linearized history of applied control operations — entries
         #: are mutable lists so retire can tombstone a publish in
         #: place:
@@ -558,12 +400,6 @@ class ShardedPolicyService:
         #: Replaying the log into a fresh replica reproduces the exact
         #: registry/alias/split state of every live shard.
         self._control_log: List[list] = []
-        # Serializes control-plane mutation (publish/alias/retire/
-        # splits/scale) and the log against each other — interleaved
-        # broadcasts would diverge the replicas.
-        self._control_lock = threading.Lock()
-        self._closed = False
-        self._close_lock = threading.Lock()
 
         self._pending: Dict[int, Any] = {}
         self._pending_lock = threading.Lock()
@@ -591,58 +427,72 @@ class ShardedPolicyService:
             self._seed_seq = np.random.SeedSequence(
                 int(np.random.default_rng(split_seed).integers(1 << 31))
             )
+        self._shards: List[_Shard] = []
+        self._shards_by_id: Dict[int, _Shard] = {}
+        self.autoscaler: Optional[Autoscaler] = None
         # Any failure after the first process spawns must tear down
         # what already started — the constructor raised, so the caller
         # never gets an object to close(), and half-started workers,
         # readers, and the dispatcher would leak for the process
-        # lifetime.  (The knob validation that MicroBatcher repeats ran
-        # above, before anything spawned.)
-        self._shards: List[_Shard] = []
-        self._shards_by_id: Dict[int, _Shard] = {}
-        self._dispatcher: Optional[_ClusterDispatcher] = None
-        self.autoscaler: Optional[Autoscaler] = None
+        # lifetime.
         try:
-            # The initial workers fork/spawn *before* any parent thread
-            # starts, so these children never inherit a half-held lock.
-            # (Elastic spawns later fork while parent threads run; the
-            # worker entry point touches none of the parent's locks,
-            # and segment registration is serialized under the control
-            # lock, which add_shard holds across the fork.)
-            for shard_id in range(n_shards):
-                self._shards.append(self._spawn_worker(shard_id))
-            for shard in self._shards:
-                self._start_reader(shard)
-            self._shards_by_id = {s.shard_id: s for s in self._shards}
-            self._dispatcher = _ClusterDispatcher(
-                self,
+            # The parent split table never routes (the dispatcher only
+            # ships rows), so it takes no seed; the shards' do.
+            super().__init__(
+                registry=registry,
                 max_batch=max_batch,
                 max_delay_s=max_delay_s,
-                delay=(AdaptiveDelay(max_delay_s=max_delay_s)
-                       if adaptive_delay else None),
-                tracer=self.tracer,
-                hub=self.hub,
-            ).start()
-            # Fail fast if a worker died on startup (bad import, OOM).
-            for shard in self._shards:
-                reply = self._rpc(shard, "ping", None, timeout_s=30.0)
-                if reply != ("pong", shard.shard_id):
-                    raise RuntimeError(
-                        f"shard {shard.shard_id} failed its startup ping"
-                    )
+                adaptive_delay=adaptive_delay,
+                trace_sample=trace_sample,
+                exporter_port=exporter_port,
+                postmortem_dir=postmortem_dir,
+            )
             if autoscale is not None:
                 self.autoscaler = Autoscaler(
                     self, autoscale, journal=self.journal
                 ).start()
-            register_serving_collectors(
-                self.hub, batcher=self._dispatcher,
-                delay=self._dispatcher.delay,
-            )
             self._register_cluster_collectors()
-            if exporter_port is not None:
-                self.start_exporter(port=exporter_port)
         except BaseException:
             self.close()
             raise
+
+    def _start_batcher(self, max_batch: int,
+                       max_delay_s: float) -> MicroBatcher:
+        """Spawn the shards, then start the dispatcher that ships
+        flushes to them (the batcher hook of
+        :class:`~repro.serve.server.PolicyServer`).
+
+        The initial workers fork *before* any parent thread starts, so
+        these children never inherit a half-held lock.  (Elastic spawns
+        later fork while parent threads run; the worker entry point
+        touches none of the parent's locks, and segment registration is
+        serialized under the control lock, which add_shard holds across
+        the fork.)
+        """
+        self._m_routed = self.hub.counter(
+            "repro_router_decisions_total",
+            "Flush groups dispatched, per target shard",
+        )
+        for shard_id in range(self.n_shards):
+            self._shards.append(self._spawn_worker(shard_id))
+        for shard in self._shards:
+            self._start_reader(shard)
+        self._shards_by_id = {s.shard_id: s for s in self._shards}
+        # Fail fast if a worker died on startup (bad import, OOM).
+        for shard in self._shards:
+            reply = self._rpc(shard, "ping", None, timeout_s=30.0)
+            if reply != ("pong", shard.shard_id):
+                raise RuntimeError(
+                    f"shard {shard.shard_id} failed its startup ping"
+                )
+        return _ClusterDispatcher(
+            self,
+            max_batch=max_batch,
+            max_delay_s=max_delay_s,
+            delay=self.delay,
+            tracer=self.tracer,
+            hub=self.hub,
+        ).start()
 
     # -- worker lifecycle --------------------------------------------------
     def _next_child_seed(self) -> Optional[int]:
@@ -652,12 +502,11 @@ class ShardedPolicyService:
         return int(child.generate_state(1)[0])
 
     def _spawn_worker(self, shard_id: int) -> _Shard:
-        process, transport = self._worker_transport.spawn(
+        process, transport = spawn_pipe_worker(
             self._ctx, shard_id, self._next_child_seed()
         )
         self.journal.emit("shard_spawn",
-                          labels={"shard": str(shard_id)},
-                          transport=self.transport)
+                          labels={"shard": str(shard_id)})
         return _Shard(shard_id, process, transport)
 
     def _start_reader(self, shard: _Shard) -> None:
@@ -744,11 +593,10 @@ class ShardedPolicyService:
                 if shard.inflight == 0:
                     break
             time.sleep(0.005)
-        # The channel is FIFO per connection (pipe or TCP stream): the
-        # worker answers everything queued before the stop, then
-        # exits; its EOF runs the _on_shard_death sweep, which fails
-        # any straggler that raced the draining flag (zero stranded
-        # futures).
+        # The pipe is FIFO: the worker answers everything queued
+        # before the stop, then exits; its EOF runs the _on_shard_death
+        # sweep, which fails any straggler that raced the draining flag
+        # (zero stranded futures).
         try:
             self._rpc(shard, "stop", None, timeout_s=10.0)
         except RuntimeError:
@@ -808,11 +656,9 @@ class ShardedPolicyService:
         for entry in self._control_log:
             op = entry[0]
             if op == "publish":
-                _, name, shipment, version = entry
-                payload = self._shipment_payload(shard, shipment)
+                _, name, payload, version = entry
                 worker_version = self._rpc(shard, "publish",
                                            (name, payload))
-                self._note_shipped(shard, shipment, payload)
                 if worker_version != version:
                     raise RuntimeError(
                         f"replay diverged: shard {shard.shard_id} "
@@ -915,14 +761,19 @@ class ShardedPolicyService:
         artifact: PolicyArtifact,
         alias: Optional[str],
     ) -> int:
+        # Build the shard payload *before* the parent mirror publishes:
+        # a pickle or share_artifact failure (e.g. /dev/shm exhausted)
+        # after the mirror write would leave a phantom parent version
+        # that wedges every later publish of the model.
+        shm = None
         if artifact.flat is None:
-            # Pickle fallback: serialize *once*, before the parent
-            # registry publishes — an unpicklable artifact must fail
-            # cleanly here (not desync replicas mid-broadcast), and the
-            # resulting bytes ship to every shard without re-pickling
-            # multi-MB teacher weights per shard.
+            # Pickle fallback: serialize *once* — an unpicklable
+            # artifact must fail cleanly here (not desync replicas
+            # mid-broadcast), and the resulting bytes ship to every
+            # shard without re-pickling multi-MB teacher weights per
+            # shard.
             try:
-                pickled: Optional[bytes] = pickle.dumps(artifact)
+                payload: Any = pickle.dumps(artifact)
             except Exception as exc:  # noqa: BLE001 - any pickle error
                 raise TypeError(
                     f"artifact {artifact.name!r} (kind "
@@ -931,14 +782,6 @@ class ShardedPolicyService:
                     f"not pickle ({exc})"
                 ) from exc
         else:
-            pickled = None
-        # Build the transport payload *before* the parent mirror
-        # publishes: a share_artifact failure (e.g. /dev/shm exhausted)
-        # after the mirror write would leave a phantom parent version
-        # that wedges every later publish of the model.
-        shm = None
-        handle = None
-        if artifact.flat is not None:
             # Compile the native kernel *before* the handle snapshots
             # ``meta`` — the kernel provenance (hash, compiler, flags)
             # must ride to the workers, whose own publish-time compile
@@ -949,23 +792,15 @@ class ShardedPolicyService:
                 artifact.compile_native()
             except Exception:  # noqa: BLE001 - publish must not fail
                 pass
-            handle, shm = share_artifact(artifact)
+            payload, shm = share_artifact(artifact)
         try:
             version = self.registry.publish(name, artifact)
         except Exception:
             if shm is not None:
-                shm.close()
-                shm.unlink()
+                _release(shm)
             raise
         if shm is not None:
             self._segments[(name, version)] = shm
-        # The shipment is what the control log stores: the concrete
-        # per-shard payload (shm handle, pickled bytes, or a
-        # WireArtifact with/without the raw bytes) is resolved at
-        # broadcast and replay time, because it depends on each
-        # shard's transport and on what its host already caches.
-        shipment = _ArtifactShipment(handle, shm, pickled,
-                                     self._cache_token)
         applied: List[_Shard] = []
         try:
             for shard in self._shards:
@@ -975,12 +810,10 @@ class ShardedPolicyService:
                 # fail-and-roll-back when its stop lands first.
                 if not shard.alive or shard.draining:
                     continue
-                payload = self._shipment_payload(shard, shipment)
                 worker_version = self._rpc(
                     shard, "publish", (name, payload)
                 )
                 applied.append(shard)
-                self._note_shipped(shard, shipment, payload)
                 if worker_version != version:
                     raise RuntimeError(
                         f"shard {shard.shard_id} registered {name!r} "
@@ -1006,18 +839,7 @@ class ShardedPolicyService:
                 pass  # a concurrent publish superseded it; leave it
             shm = self._segments.pop((name, version), None)
             if shm is not None:
-                try:
-                    shm.close()
-                    shm.unlink()
-                except Exception:  # noqa: BLE001
-                    pass
-            # If no *live* version still references the wire key, the
-            # host-cache segment a worker may have just filled is an
-            # orphan — drop it (workers rolled back, so their mappings
-            # are closed).
-            if (self._remote_fleet and shipment.key is not None
-                    and self._cache_refs.get(shipment.key, 0) == 0):
-                self._release_cache_segment(shipment.key)
+                _release(shm)
             # The registry hook already journaled the rollback; the
             # black box keeps the evidence (which shards applied, the
             # metrics page at failure time).
@@ -1027,241 +849,59 @@ class ShardedPolicyService:
                        "applied_shards": [s.shard_id for s in applied]},
             )
             raise
-        self._control_log.append(["publish", name, shipment, version])
-        if self._remote_fleet and shipment.key is not None:
-            self._version_keys[(name, version)] = shipment.key
-            self._cache_refs[shipment.key] = (
-                self._cache_refs.get(shipment.key, 0) + 1
-            )
+        self._control_log.append(["publish", name, payload, version])
         if alias is not None:
             self._alias_locked(alias, name, None)
         return version
 
-    def _shipment_payload(self, shard: _Shard,
-                          shipment: _ArtifactShipment) -> Any:
-        """Resolve a shipment to what *this* shard's publish carries.
+    def _replicate(self, op: str, payload: Any) -> None:
+        """Log one mirror change for replay and apply it on every live
+        shard (the caller holds the control lock).
 
-        Co-located shards get the shm handle (zero-copy attach by
-        transport hash) or the pickled bytes — the pre-transport
-        behavior, unchanged.  Remote shards get a
-        :class:`WireArtifact`; the raw bytes ride along only when the
-        shard's host has not cached the key yet (the second publish of
-        the same hash to a host ships zero payload bytes).
+        The log changes with the mirror, *before* the broadcast: its
+        invariant is "replaying it reproduces the parent mirror", so
+        even when the broadcast fails outright (every shard evicted) a
+        repaired replica replays to the mirror's state.  Alias and
+        split entries compact to their final binding (a fresh replica
+        doesn't need the intermediate history).  A retire tombstones
+        its publish entry in place, so replay keeps version numbering
+        identical; a rolled-back publish leaves the log, because its
+        slot is freed for reuse.  Each shard applies the change at its
+        next flush, so cross-shard skew is bounded by one in-flight
+        batch.
         """
-        if shard.transport.locality == "local":
-            if shipment.handle is not None:
-                return shipment.handle
-            return shipment.pickled
-        cached = shard.transport.host_key in self._cache_hosts.get(
-            shipment.key, ()
-        )
-        # The kernel .so rides the same once-per-(host, key) discipline
-        # as the artifact bytes: a host that caches the arrays also
-        # caches the kernel (the first worker installed it).
-        return WireArtifact(
-            key=shipment.key,
-            segment=shipment.segment,
-            handle=shipment.wire_handle,
-            payload=None if cached else shipment.wire_bytes(),
-            kernel=None if cached else shipment.kernel_bytes(),
-        )
-
-    def _note_shipped(self, shard: _Shard, shipment: _ArtifactShipment,
-                      payload: Any) -> None:
-        """Record that a host now caches a key (its worker filled the
-        named segment as part of a successful publish RPC)."""
-        if isinstance(payload, WireArtifact) and payload.payload is not None:
-            self._cache_hosts.setdefault(shipment.key, set()).add(
-                shard.transport.host_key
-            )
-
-    def _release_cache_segment(self, key: str) -> None:
-        """Unlink one host-cache segment (last referencing version is
-        gone).  Best effort: on a truly remote host the parent cannot
-        reach the segment — there, the host's worker runtime owns
-        sweeping orphans — but for the localhost fleets this repo runs
-        the attach-and-unlink reclaims the memory immediately."""
-        self._cache_refs.pop(key, None)
-        self._cache_hosts.pop(key, None)
-        try:
-            segment = shared_memory.SharedMemory(
-                name=host_cache_segment_name(self._cache_token, key)
-            )
-            segment.close()
-            segment.unlink()
-        except Exception:  # noqa: BLE001 - never created / already gone
-            pass
-
-    def alias(
-        self, alias: str, target: str, version: Optional[int] = None
-    ) -> None:
-        """Install (or repoint) an alias on the parent mirror and every
-        live shard, and log it for replay."""
-        with self._control_lock:
-            self._alias_locked(alias, target, version)
-
-    def _alias_locked(
-        self, alias: str, target: str, version: Optional[int]
-    ) -> None:
-        self.registry.alias(alias, target, version)
-        # Log with the mirror, *before* the broadcast: the log's
-        # invariant is "replaying it reproduces the parent mirror".
-        # If the broadcast fails outright (every shard evicted), the
-        # mirror has the alias — so the log must too, or the repaired
-        # replicas would replay to a divergent state.  Only the final
-        # binding matters to a fresh replica; earlier repoints of the
-        # same alias are compacted away.
-        self._control_log = [
-            entry for entry in self._control_log
-            if not (entry[0] == "alias" and entry[1][0] == alias)
-        ]
-        self._control_log.append(["alias", (alias, target, version)])
-        self._broadcast_or_evict("alias", (alias, target, version))
-
-    def retire(self, name: str, version: int) -> None:
-        """Retire an old version cluster-wide (parent refusal rules —
-        including active splits routing to it — run first, so an
-        illegal retire never reaches a shard).
-
-        The version's control-log publish entry is tombstoned in place:
-        a replacement replica replays the slot as
-        ``publish_tombstone``, keeping version numbering identical
-        while the artifact bytes (and their shared segment) are gone.
-        """
-        with self._control_lock:
-            guard_retire_against_splits(
-                dict(self._splits), self.registry, name, version
-            )
-            self.registry.retire(name, version)
-            # Tombstone the log with the mirror, before the broadcast:
-            # if the broadcast fails wholesale, the mirror considers
-            # the version gone, and a repaired replica must not replay
-            # it back to life.
-            for entry in self._control_log:
+        log = self._control_log
+        if op == "alias":
+            log[:] = [entry for entry in log
+                      if not (entry[0] == "alias"
+                              and entry[1][0] == payload[0])]
+            log.append([op, payload])
+        elif op in ("set_split", "clear_split"):
+            ref = payload[0] if op == "set_split" else payload
+            log[:] = [entry for entry in log
+                      if not (entry[0] == "set_split"
+                              and entry[1][0] == ref)]
+            if op == "set_split":
+                log.append([op, payload])
+        else:  # retire / rollback_publish of (name, version)
+            name, version = payload
+            for entry in log:
                 if (entry[0] == "publish" and entry[1] == name
                         and entry[3] == version):
-                    entry[:] = ["publish_tombstone", name, version]
+                    if op == "retire":
+                        entry[:] = ["publish_tombstone", name, version]
+                    else:
+                        log.remove(entry)
                     break
-            self._broadcast_or_evict("retire", (name, version))
-            # Workers have unmapped the retired version; drop the
-            # parent's mapping (under the lock — metrics readers
-            # snapshot this dict) so memory tracks the live set, not
-            # the publish history.
-            shm = self._segments.pop((name, version), None)
-            # Host-cache accounting: this version no longer references
-            # its wire key; unlink the cached segment once the last
-            # referencing version is gone.
-            key = self._version_keys.pop((name, version), None)
-            if key is not None:
-                refs = self._cache_refs.get(key, 0) - 1
-                if refs <= 0:
-                    self._release_cache_segment(key)
-                else:
-                    self._cache_refs[key] = refs
-        if shm is not None:
-            try:
-                shm.close()
-                shm.unlink()
-            except Exception:  # noqa: BLE001 - release best effort
-                pass
-
-    def rollback_publish(self, name: str, version: int) -> None:
-        """Undo the most recent publish of ``name`` cluster-wide — the
-        auto-canary controller's abort path.
-
-        Parent refusal rules run first (must be the current latest, no
-        pinned alias, no active split routing to it), then the mirror
-        rolls back, the publish entry leaves the replay log, and the
-        rollback broadcasts to every live shard.  The version slot is
-        freed for reuse — unlike :meth:`retire`, which tombstones it —
-        because a rolled-back canary was never a legitimate part of the
-        version history.
-        """
-        with self._control_lock:
-            guard_retire_against_splits(
-                dict(self._splits), self.registry, name, version
-            )
-            self.registry.rollback_publish(name, version)
-            # Mirror and log first (log == mirror even when the
-            # broadcast fails wholesale): the slot is simply gone, so
-            # a replacement replica never replays it.
-            self._control_log = [
-                entry for entry in self._control_log
-                if not (entry[0] == "publish" and entry[1] == name
-                        and entry[3] == version)
-            ]
-            self._broadcast_or_evict("rollback_publish", (name, version))
-            shm = self._segments.pop((name, version), None)
-            key = self._version_keys.pop((name, version), None)
-            if key is not None:
-                refs = self._cache_refs.get(key, 0) - 1
-                if refs <= 0:
-                    self._release_cache_segment(key)
-                else:
-                    self._cache_refs[key] = refs
-        if shm is not None:
-            try:
-                shm.close()
-                shm.unlink()
-            except Exception:  # noqa: BLE001 - release best effort
-                pass
-
-    # -- traffic splitting -------------------------------------------------
-    def set_split(
-        self,
-        ref: str,
-        canary: Optional[str] = None,
-        canary_fraction: float = 0.0,
-        shadow: Optional[str] = None,
-    ) -> None:
-        """Install a canary/shadow split on every shard.
-
-        Each shard applies the new configuration atomically at its next
-        flush; cross-shard skew is bounded by one in-flight batch.
-        """
-        with self._control_lock:
-            check_split_targets(self.registry, ref, canary, shadow)
-            # Constructing the config validates it before any broadcast.
-            split = TrafficSplit(
-                ref=ref, canary=canary,
-                canary_fraction=float(canary_fraction), shadow=shadow,
-            )
-            # Record the mirror *before* broadcasting: if the broadcast
-            # fails partway, some shard may already be routing under
-            # this split, and the retire() guard must keep seeing it.
-            self._splits[ref] = split
-            payload = (ref, canary, float(canary_fraction), shadow)
-            # Mirror and log first (same invariant as _alias_locked:
-            # log == mirror even when the broadcast fails wholesale).
-            self._drop_split_log_entries(ref)
-            self._control_log.append(["set_split", payload])
-            self._broadcast_or_evict("set_split", payload)
-        self.journal.emit(
-            "canary_change", labels={"ref": ref},
-            canary=canary, canary_fraction=float(canary_fraction),
-            shadow=shadow,
-        )
-
-    def clear_split(self, ref: str) -> None:
-        """Remove ``ref``'s split on every shard (and from the replay
-        log — a fresh replica simply never installs it)."""
-        with self._control_lock:
-            self._broadcast_or_evict("clear_split", ref)
-            removed = self._splits.pop(ref, None)
-            self._drop_split_log_entries(ref)
-        if removed is not None:
-            self.journal.emit("canary_change", labels={"ref": ref},
-                              cleared=True)
-
-    def _drop_split_log_entries(self, ref: str) -> None:
-        self._control_log = [
-            entry for entry in self._control_log
-            if not (entry[0] == "set_split" and entry[1][0] == ref)
-        ]
-
-    def splits(self) -> Dict[str, TrafficSplit]:
-        """Active splits as recorded by the parent."""
-        return dict(self._splits)
+        self._broadcast_or_evict(op, payload)
+        if op in ("retire", "rollback_publish"):
+            # Workers have unmapped the version; drop the parent's
+            # segment (under the lock — metrics readers snapshot this
+            # dict) so memory tracks the live set, not the publish
+            # history.
+            shm = self._segments.pop(payload, None)
+            if shm is not None:
+                _release(shm)
 
     def shadow_report(self) -> Dict[str, dict]:
         """Cluster-wide shadow fidelity (summed over shards)."""
@@ -1285,7 +925,7 @@ class ShardedPolicyService:
         """
         with self._control_lock:
             parent = dict(self.registry.fingerprint())
-            parent["splits"] = split_state(self._splits)
+            parent["splits"] = split_state(self.splitter.splits())
             # Digest goes in LAST (workers do the same in describe):
             # byte-for-byte repr comparison needs identical key order.
             parent["digest"] = control_state_digest(parent)
@@ -1297,28 +937,6 @@ class ShardedPolicyService:
         return {"parent": parent, "shards": shards}
 
     # -- traffic -----------------------------------------------------------
-    def submit(self, model: str, state: Any) -> "Future[ServeResult]":
-        """One decision request; microbatched and routed to a shard.
-        The future refuses ``cancel()``.  On an event loop the request
-        is gathered with that loop's others and handed to the dispatcher
-        thread at the end of the loop's turn, and the future is one the
-        loop awaits directly, as on the in-process tier (see
-        :meth:`MicroBatcher.submit`); from a thread it is a plain
-        ``concurrent.futures.Future``."""
-        return self._dispatcher.submit(model, state)
-
-    def submit_async(self, model: str, state: Any):
-        """Asyncio submission path; awaitable from a running loop."""
-        return self._dispatcher.submit_async(model, state)
-
-    def submit_many(
-        self, model: str, states: Any
-    ) -> List["Future[ServeResult]"]:
-        """Submit a stack of single-state requests (they may co-batch
-        at the front end and ship as one group)."""
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        return [self._dispatcher.submit(model, row) for row in states]
-
     def submit_batch(
         self, model: str, states: Any
     ) -> "Future[List[ServeResult]]":
@@ -1330,7 +948,7 @@ class ShardedPolicyService:
         a slice, which is what lets the cluster outrun the per-request
         future machinery of the single-process server.
         """
-        if self._dispatcher.closed:
+        if self._batcher.closed:
             raise RuntimeError(
                 "ShardedPolicyService is closed: submit_batch() after "
                 "close() can never complete"
@@ -1379,11 +997,7 @@ class ShardedPolicyService:
     # -- dispatch internals ------------------------------------------------
     def _pick_shard(self, ref: Optional[str] = None) -> Optional[_Shard]:
         live = self._live_shards()
-        if self._router_takes_ref:
-            return self._router.select(live, ref)
-        # Back-compat: custom routers written against the pre-PR-6
-        # single-argument signature keep working unchanged.
-        return self._router.select(live)
+        return self._router.select(live, ref)
 
     def _dispatch_group(self, ref: str, requests: List[_Request]) -> None:
         """Route one stacked flush group to a shard (or fail it fast).
@@ -1772,10 +1386,6 @@ class ShardedPolicyService:
         return replies
 
     # -- observability -----------------------------------------------------
-    def metrics(self) -> Dict[str, dict]:
-        """Cluster-level per-model metrics (client-observed latency)."""
-        return self._metrics.snapshot()
-
     def cluster_metrics(self) -> Dict[str, Any]:
         """Full cluster view: end-to-end, per-shard, and aggregate.
 
@@ -1785,7 +1395,8 @@ class ShardedPolicyService:
         aggregate throughput is the scaling headline.  ``routing``
         exposes the router plus each shard's load signals (in-flight
         groups, EWMA service time), ``shm`` the resident artifact
-        memory, and ``autoscale`` the autoscaler's event history when
+        memory, ``transport`` the per-shard wire byte counters, and
+        ``autoscale`` the autoscaler's event history when
         one is configured.  ``backend`` reports which inference engine
         served each model's rows — compiled native kernel vs numpy —
         with the fallback counter that makes a silent degradation (no
@@ -1826,11 +1437,9 @@ class ShardedPolicyService:
             }
             for shard in self._shards if shard.alive
         }
-        transport_view: Dict[str, Any] = {
-            "name": self.transport,
+        transport_view = {
             "per_shard": {
                 str(shard.shard_id): {
-                    "host": shard.transport.host_key,
                     "bytes_sent": shard.transport.bytes_sent,
                     "bytes_received": shard.transport.bytes_received,
                 }
@@ -1841,13 +1450,6 @@ class ShardedPolicyService:
             # Snapshot under the lock: publish/retire mutate the
             # segment map, and iterating it concurrently would raise.
             footprint = segment_footprint(self._segments)
-            transport_view["host_cache"] = {
-                "keys": len(self._cache_refs),
-                "hosts": sorted(
-                    {host for hosts in self._cache_hosts.values()
-                     for host in hosts}
-                ),
-            }
         return {
             "n_shards": self.n_shards,
             "live_shards": len([s for s in self._shards if s.alive]),
@@ -1982,68 +1584,42 @@ class ShardedPolicyService:
                     )
         return render_text(*snaps)
 
-    def _drain_worker_events(self) -> None:
-        """Pull every worker journal's new events into the parent journal.
+    def _drain_workers(self, op: str) -> None:
+        """Pull every worker's new journal events (``op`` =
+        ``"events_since"``) or capture entries (``"capture_drain"``)
+        into the parent journal or :attr:`capture` ring.
 
         Incremental: the parent remembers the last drained seq per
-        shard and asks ``events_since`` for the delta only; replies are
-        re-sequenced into the merged journal under a ``shard`` label.
-        Read-only and shard-death-tolerant (same posture as
-        ``render_metrics``), serialized so two concurrent ``/events``
-        scrapes cannot double-ingest one delta.
+        shard and asks for the delta only; entries are re-sequenced
+        into the parent sink under a ``shard`` label.  Read-only and
+        shard-death-tolerant (same posture as ``render_metrics``),
+        serialized so two concurrent drains cannot double-ingest one
+        delta.  A capture drain also carries the parent ring's current
+        sample rate, so the whole fleet's capture turns on (and off)
+        from one knob.
         """
-        if self._closed:
+        sink = self.journal if op == "events_since" else self.capture
+        if self._closed or sink is None:
             return
-        with self._events_lock:
+        marks = self._drained[op]
+        with self._drain_lock:
             for shard in list(self._shards):
                 if not shard.alive:
                     continue
-                last = self._worker_event_seq.get(shard.shard_id, 0)
+                last = marks.get(shard.shard_id, 0)
+                request = last if op == "events_since" else {
+                    "since": last, "sample_rate": sink.sample_rate,
+                }
                 try:
-                    events = self._rpc(shard, "events_since", last)
-                except RuntimeError:
-                    continue  # dying shard: the survivors still drain
-                if not events:
-                    continue
-                self._worker_event_seq[shard.shard_id] = max(
-                    int(e.get("seq", last)) for e in events
-                )
-                self.journal.ingest(
-                    events, {"shard": str(shard.shard_id)}
-                )
-
-    def _drain_worker_captures(self) -> None:
-        """Pull every worker capture ring's new entries into the parent
-        ring (``self.capture``), shard-labeled and re-sequenced.
-
-        Same incremental discipline as :meth:`_drain_worker_events`:
-        per-shard high-water seq, shard-death-tolerant, serialized so
-        two concurrent drains cannot double-ingest a delta.  The drain
-        request also carries the parent ring's current sample rate, so
-        the whole fleet's capture turns on (and off) from one knob.
-        """
-        if self._closed or self.capture is None:
-            return
-        with self._capture_lock:
-            for shard in list(self._shards):
-                if not shard.alive:
-                    continue
-                last = self._worker_capture_seq.get(shard.shard_id, 0)
-                try:
-                    entries = self._rpc(shard, "capture_drain", {
-                        "since": last,
-                        "sample_rate": self.capture.sample_rate,
-                    })
+                    entries = self._rpc(shard, op, request)
                 except RuntimeError:
                     continue  # dying shard: the survivors still drain
                 if not entries:
                     continue
-                self._worker_capture_seq[shard.shard_id] = max(
+                marks[shard.shard_id] = max(
                     int(e.get("seq", last)) for e in entries
                 )
-                self.capture.ingest(
-                    entries, {"shard": str(shard.shard_id)}
-                )
+                sink.ingest(entries, {"shard": str(shard.shard_id)})
 
     def routed_service_estimate_ms(self, ref: str) -> Optional[float]:
         """Worst-case per-(shard, model) service-time estimate for
@@ -2080,8 +1656,8 @@ class ShardedPolicyService:
         monotonic over the merged journal (worker-origin events keep
         their per-shard seq in ``fields.origin_seq``).
         """
-        self._drain_worker_events()
-        return self.journal.events_since(since)
+        self._drain_workers("events_since")
+        return super().events(since)
 
     def _blackbox_state(self) -> Dict[str, Any]:
         """Tier state for postmortem bundles.
@@ -2093,139 +1669,36 @@ class ShardedPolicyService:
         """
         return {
             "tier": "ShardedPolicyService",
-            "transport": self.transport,
             "routing": self.routing,
             "shards": [
                 {"shard": s.shard_id, "alive": s.alive,
                  "draining": s.draining, "inflight": s.inflight}
                 for s in list(self._shards)
             ],
-            "splits": split_state(dict(self._splits)),
+            "splits": split_state(self.splitter.splits()),
             "control_log_len": len(self._control_log),
             "registry": self.registry.fingerprint(),
         }
 
-    def start_exporter(self, port: int = 0,
-                       host: str = "127.0.0.1") -> "MetricsExporter":
-        """Start the HTTP exporter serving ``/metrics``, ``/traces``,
-        ``/events`` and ``/healthz`` for this service.
-
-        One-shot per service: calling it again while an exporter runs,
-        or after :meth:`close`, raises ``RuntimeError`` — the old
-        silent-return behaviour could leak a second HTTP server.
-        """
-        if self._closed:
-            raise RuntimeError(
-                "service is closed: start_exporter() would serve "
-                "metrics for a dead cluster"
-            )
-        if self.exporter is not None:
-            raise RuntimeError(
-                f"exporter already running on {self.exporter.url}; "
-                f"close() it before starting another"
-            )
-        from repro.obs.exporter import MetricsExporter
-
-        self.exporter = MetricsExporter(
-            self.render_metrics, tracer=self.tracer,
-            host=host, port=port, events_fn=self.events,
-        )
-        self.exporter.start()
-        return self.exporter
-
-    def start_health(self, rules: Optional[list] = None,
-                     interval_s: float = 1.0, **rule_kwargs):
-        """Start the SLO alert engine over the cluster's client-side
-        metrics (see :meth:`PolicyServer.start_health
-        <repro.serve.server.PolicyServer.start_health>` — same
-        contract, cluster signal sources)."""
-        from repro.obs.health import HealthMonitor, standard_rules
-
-        if self.health is not None:
-            raise RuntimeError("health monitor already running")
-        if rules is None:
-            rules = standard_rules(
-                self._metrics,
-                queue_depth_fn=self._dispatcher.queue_depth,
-                shadow_report_fn=self.shadow_report,
-                backend_report_fn=self.backend_report,
-                **rule_kwargs,
-            )
-        self.health = HealthMonitor(
-            rules, journal=self.journal, hub=self.hub,
-            interval_s=interval_s, recorder=self.recorder,
-        ).start()
-        return self.health
-
-    def start_online(
-        self,
-        ref: str,
-        teacher: Any,
-        sample_rate: float = 0.05,
-        capacity: int = 4096,
-        monitor: Optional[Any] = None,
-        interval_s: Optional[float] = None,
-        seed: Optional[int] = None,
-        min_samples: int = 256,
-        leaf_nodes: int = 200,
-        hist_bins: int = 256,
-        n_classes: Optional[int] = None,
-        **controller_kwargs: Any,
-    ):
-        """Close the loop cluster-wide: drain sampled worker captures,
-        refit against ``teacher``, auto-canary the refits (see
-        :mod:`repro.serve.online` and
+    def start_online(self, ref: str, teacher: Any, **kwargs: Any):
+        """Close the loop cluster-wide (same contract as
         :meth:`PolicyServer.start_online
-        <repro.serve.server.PolicyServer.start_online>` — same
-        contract).
+        <repro.serve.server.PolicyServer.start_online>`).
 
-        The cluster flavor wires two extra things: worker rings drain
-        through :meth:`_drain_worker_captures` on every controller
-        tick, and the controller's SLO gate reads
-        :meth:`routed_service_estimate_ms` — the per-(shard, model)
-        estimate, not the blended per-shard EWMA.
+        Two things differ: the workers sample, and their rings drain
+        into :attr:`capture` on every controller tick; and the
+        controller's SLO gate reads :meth:`routed_service_estimate_ms`
+        — the per-(shard, model) estimate, not the blended per-shard
+        EWMA.
         """
-        from repro.serve.online import (
-            AutoCanaryController,
-            Redistiller,
-            TraceCapture,
+        kwargs.setdefault("service_estimate_fn",
+                          self.routed_service_estimate_ms)
+        return super().start_online(
+            ref, teacher,
+            drain_fn=functools.partial(self._drain_workers,
+                                       "capture_drain"),
+            **kwargs,
         )
-
-        if self._closed:
-            raise RuntimeError(
-                "service is closed: start_online() would capture for a "
-                "dead cluster"
-            )
-        if self.online is not None:
-            raise RuntimeError("online controller already running")
-        self.capture = TraceCapture(
-            capacity=capacity, sample_rate=sample_rate, seed=seed,
-            hub=self.hub,
-        )
-        redistiller = Redistiller(
-            self.capture, teacher, min_samples=min_samples,
-            leaf_nodes=leaf_nodes, hist_bins=hist_bins,
-            n_classes=n_classes,
-            name=controller_kwargs.get("candidate") or f"{ref}-refit",
-        )
-        controller_kwargs.setdefault(
-            "service_estimate_fn", self.routed_service_estimate_ms
-        )
-        self.online = AutoCanaryController(
-            self, ref, redistiller,
-            monitor=monitor if monitor is not None else self.health,
-            journal=self.journal, hub=self.hub,
-            drain_fn=self._drain_worker_captures, **controller_kwargs,
-        )
-        if interval_s is not None:
-            self.online.start(interval_s)
-        return self.online
-
-    def batching_state(self) -> Dict[str, Any]:
-        """Current front-end microbatching posture (adaptive-delay
-        telemetry when the controller is wired in)."""
-        return batching_state(self._dispatcher.delay,
-                              self._dispatcher.max_delay_s)
 
     def scale_events(self) -> List[dict]:
         """Actuated autoscaling decisions so far (empty without an
@@ -2245,38 +1718,25 @@ class ShardedPolicyService:
         ``p95_window_s`` restricts the sweep to recent samples so the
         SLO signal tracks current load, not the session's history.
         """
-        if self._closed or self._dispatcher is None:
+        if self._closed or self._batcher is None:
             return None
-        delay = self._dispatcher.delay
+        delay = self.delay
         with self._pending_lock:
             inflight = sum(s.inflight for s in self._shards if s.alive)
         return {
             "live_shards": len(self._live_shards()),
             "fill": delay.fill if delay is not None else None,
-            "queue_depth": self._dispatcher.queue_depth(),
+            "queue_depth": self._batcher.queue_depth(),
             "inflight": inflight,
             "p95_ms": (self._metrics.p95_ms(window_s=p95_window_s)
                        if want_p95 else 0.0),
             "total_requests": self._metrics.total_requests(),
         }
 
-    def worker_endpoints(self) -> Dict[int, Tuple[str, int]]:
-        """``(host, port)`` of every live socket worker's server.
-
-        Empty for pipe fleets (pipes have no out-of-band address).
-        An :class:`~repro.serve.aio.AsyncWorkerClient` can connect to
-        these endpoints directly, alongside the parent's own
-        connection.
-        """
-        return {
-            shard.shard_id: shard.transport.peer
-            for shard in self._shards
-            if shard.alive and hasattr(shard.transport, "peer")
-        }
-
     # -- lifecycle ---------------------------------------------------------
-    def close(self) -> None:
-        """Drain, stop the shards, release the shared segments.
+    def _stop_batcher(self) -> None:
+        """Drain the dispatcher, stop the shards, release the shared
+        segments (the batcher hook :meth:`close` runs).
 
         Ordering matters: the autoscaler stops first (no scaling races
         teardown), the front-end batcher drains (every accepted request
@@ -2284,31 +1744,10 @@ class ShardedPolicyService:
         are joined (a half-provisioned replacement must not leak), then
         shards stop — so zero futures drop.
         """
-        with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
-        if self.online is not None:
-            try:
-                self.online.close()
-            except Exception:  # noqa: BLE001 - teardown best effort
-                pass
-            self.online = None
-        if self.health is not None:
-            try:
-                self.health.close()
-            except Exception:  # noqa: BLE001 - teardown best effort
-                pass
-            self.health = None
-        if self.exporter is not None:
-            try:
-                self.exporter.close()
-            except Exception:  # noqa: BLE001 - teardown best effort
-                pass
         if self.autoscaler is not None:
             self.autoscaler.stop()
-        if self._dispatcher is not None:
-            self._dispatcher.close()
+        if self._batcher is not None:
+            self._batcher.close()
         deadline = time.monotonic() + _RPC_TIMEOUT_S
         with self._pending_lock:
             while self._pending and time.monotonic() < deadline:
@@ -2333,19 +1772,5 @@ class ShardedPolicyService:
                 shard.process.join(timeout=5.0)
             shard.alive = False
         for shm in self._segments.values():
-            try:
-                shm.close()
-                shm.unlink()
-            except Exception:  # noqa: BLE001 - teardown best effort
-                pass
+            _release(shm)
         self._segments.clear()
-        # Host-cache segments are service-owned, like the anonymous
-        # ones above — release whatever retire has not already.
-        for key in list(self._cache_refs):
-            self._release_cache_segment(key)
-
-    def __enter__(self) -> "ShardedPolicyService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -138,40 +138,6 @@ def share_artifact(
     return handle, shm
 
 
-def host_cache_segment_name(token: str, key: str) -> str:
-    """Name of the host-level artifact-cache segment for one wire key.
-
-    Deterministic given the service's cache token and the artifact's
-    transport-hash key, so the parent can ship ``payload=None`` for a
-    key a host already holds and every worker on that host attaches to
-    the same segment by name — one physical copy per (host, artifact)
-    no matter how many shards or heal-replays reference it.  The token
-    scopes names to one service instance (two services publishing the
-    same artifact must not collide), and the whole name stays under
-    the 31-character POSIX-portable shm limit.
-    """
-    return f"rhc_{token}_{key[:16]}"
-
-
-def create_filled_segment(
-    name: str, payload: bytes
-) -> shared_memory.SharedMemory:
-    """Create a named segment holding ``payload`` (host-cache fill).
-
-    The first worker on a host to receive an artifact's bytes calls
-    this; the parent serializes publishes under its control lock, so
-    the create-by-name never races another creator for the same key.
-    The caller closes its mapping; the segment itself lives until the
-    parent (the lifetime owner, exactly as with anonymous segments)
-    unlinks it when the last version referencing the key retires.
-    """
-    segment = shared_memory.SharedMemory(
-        name=name, create=True, size=max(len(payload), 1)
-    )
-    segment.buf[:len(payload)] = payload
-    return segment
-
-
 def ensure_tracker_running() -> None:
     """Start the multiprocessing resource tracker in *this* process.
 
@@ -186,23 +152,6 @@ def ensure_tracker_running() -> None:
     from multiprocessing import resource_tracker
 
     resource_tracker.ensure_running()
-
-
-def unregister_segment(shm: shared_memory.SharedMemory) -> None:
-    """Drop one attach-registration from this process's tracker.
-
-    Only correct when the worker has a *private* tracker (spawn start
-    method): there, the attach registered the segment with a tracker
-    the parent does not share, and leaving it would make the worker's
-    tracker unlink a segment the parent still owns.  Under fork the
-    tracker is shared and this must NOT be called.
-    """
-    from multiprocessing import resource_tracker
-
-    try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # noqa: BLE001 - best effort, platform-dependent
-        pass
 
 
 def segment_footprint(segments: Dict[Tuple[str, int], Any]) -> dict:
@@ -225,7 +174,6 @@ def segment_footprint(segments: Dict[Tuple[str, int], Any]) -> dict:
 
 def load_shared_artifact(
     handle: ShmArtifactHandle,
-    private_tracker: bool = False,
 ) -> Tuple[PolicyArtifact, shared_memory.SharedMemory]:
     """Worker side: map the segment and rebuild the artifact zero-copy.
 
@@ -233,13 +181,9 @@ def load_shared_artifact(
     siblings' model) and the content hash is re-verified over the
     mapped bytes before anything can serve.  The caller must keep the
     returned segment object alive as long as the artifact serves, and
-    ``close()`` (never ``unlink()``) it afterwards.  Set
-    ``private_tracker`` when this process does not share the segment
-    owner's resource tracker (spawn-started workers).
+    ``close()`` (never ``unlink()``) it afterwards.
     """
     shm = shared_memory.SharedMemory(name=handle.shm_name)
-    if private_tracker:
-        unregister_segment(shm)
     views = {}
     for spec in handle.arrays:
         view = np.ndarray(

@@ -1,30 +1,19 @@
-"""Pluggable frame transports between the parent and its shard workers.
+"""The frame channel between the parent and its shard workers.
 
 The protocol lives in :mod:`repro.serve.cluster.wire`; this module owns
-*how the frames move*.  Three pieces:
+*how the frames move*.  A worker's only channel is a duplex
+``multiprocessing`` pipe to its parent:
 
-* :class:`Transport` — the parent-side byte-frame channel to one
-  worker: ``send_frame`` / ``recv_frame`` / ``close`` plus the
-  attributes the service routes shipments by (``locality`` decides
-  whether shm handles can attach directly, ``host_key`` keys the
-  host-level artifact cache) and sent/received byte counters (the
-  artifact-cache tests and the transport benchmark read them);
-* :class:`Listener` — the worker-side serve loop.  A handler receives
-  one request frame and returns ``(reply_frame, after_send, stop)``;
-  the listener sends the reply, runs ``after_send`` (deferred shadow
+* :class:`PipeTransport` — the parent-side end: ``send_frame`` /
+  ``recv_frame`` / ``close`` plus sent/received byte counters (what
+  ``cluster_metrics()["transport"]`` and the benchmark read);
+* :func:`serve_pipe` — the worker-side loop.  A handler receives one
+  request frame and returns ``(reply_frame, after_send, stop)``; the
+  loop sends the reply, runs ``after_send`` (deferred shadow
   mirroring — it must never tax the primary reply), and exits on
-  ``stop``.  :class:`PipeListener` is the synchronous loop workers
-  always ran; :class:`SocketListener` is an asyncio TCP server, so a
-  socket worker can serve its parent and any number of direct
-  :class:`~repro.serve.aio.AsyncWorkerClient` connections from one
-  event loop;
-* worker factories — :class:`PipeWorkerFactory` spawns today's duplex
-  ``multiprocessing`` pipe worker bit-for-bit;
-  :class:`SocketWorkerFactory` spawns a worker whose asyncio server
-  binds an ephemeral port, reports it over a one-shot bootstrap pipe,
-  and the parent connects over TCP (``TCP_NODELAY``, since frames are
-  small).  ``ShardedPolicyService(transport=...)`` accepts either
-  name, or a custom factory instance.
+  ``stop``;
+* :func:`spawn_pipe_worker` — starts one worker process on a fresh
+  pipe and returns ``(process, transport)``.
 
 Error semantics are part of the contract: ``recv_frame`` raises
 ``EOFError`` on clean close and ``OSError`` on a broken channel —
@@ -35,61 +24,25 @@ is gone.
 
 from __future__ import annotations
 
-import asyncio
-import socket
 from typing import Any, Callable, Optional, Tuple
 
-from repro.serve.cluster.wire import HEADER_SIZE, frame_size
-
-#: Transport specs ``ShardedPolicyService(transport=...)`` accepts.
-TRANSPORTS = ("pipe", "socket")
-
-#: Handler contract shared by all listeners: request frame in,
+#: Handler contract of the worker loop: request frame in,
 #: ``(reply_frame, after_send_or_None, stop)`` out.
 FrameHandler = Callable[[bytes], Tuple[bytes, Optional[Callable], bool]]
 
 
-class Transport:
-    """Parent-side frame channel to one worker process."""
-
-    #: Human-readable transport name (mirrored into cluster_metrics).
-    name = "transport"
-    #: "local" transports share the parent's shm namespace (handles
-    #: attach directly); "remote" transports need bytes shipped.
-    locality = "local"
-    #: Host identity for the host-level artifact cache — every shard
-    #: with the same host_key shares one cached copy per artifact.
-    host_key = "local"
-
-    def __init__(self) -> None:
-        self.bytes_sent = 0
-        self.bytes_received = 0
-
-    def send_frame(self, frame: bytes) -> None:
-        raise NotImplementedError
-
-    def recv_frame(self) -> bytes:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-
-class PipeTransport(Transport):
-    """Duplex ``multiprocessing`` pipe — the zero-regression default.
+class PipeTransport:
+    """Parent-side end of one worker's duplex ``multiprocessing`` pipe.
 
     Pipes preserve message boundaries, so one ``send_bytes`` is one
-    frame; the header's length field is redundant here and exists for
-    stream transports.
+    frame; the header's length field lets the decoder check that a
+    frame is complete.
     """
 
-    name = "pipe"
-    locality = "local"
-    host_key = "local"
-
     def __init__(self, conn: Any) -> None:
-        super().__init__()
         self._conn = conn
+        self.bytes_sent = 0
+        self.bytes_received = 0
 
     def send_frame(self, frame: bytes) -> None:
         self._conn.send_bytes(frame)
@@ -104,271 +57,45 @@ class PipeTransport(Transport):
         self._conn.close()
 
 
-class SocketTransport(Transport):
-    """Blocking TCP client socket to one worker's asyncio server.
-
-    Frames are cut back out of the stream with the wire header's
-    length field.  ``peer`` exposes the worker's ``(host, port)`` so
-    out-of-band clients (:class:`~repro.serve.aio.AsyncWorkerClient`)
-    can reach the same worker.
-    """
-
-    name = "socket"
-    locality = "remote"
-
-    def __init__(self, sock: socket.socket, host_key: str) -> None:
-        super().__init__()
-        self._sock = sock
-        self.host_key = host_key
-        self.peer: Tuple[str, int] = sock.getpeername()[:2]
-
-    def send_frame(self, frame: bytes) -> None:
-        self._sock.sendall(frame)
-        self.bytes_sent += len(frame)
-
-    def _recv_exact(self, n: int) -> bytes:
-        chunks = []
-        remaining = n
-        while remaining:
-            chunk = self._sock.recv(min(remaining, 1 << 20))
-            if not chunk:
-                raise EOFError("worker closed the connection")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
-
-    def recv_frame(self) -> bytes:
-        header = self._recv_exact(HEADER_SIZE)
-        body = self._recv_exact(frame_size(header) - HEADER_SIZE)
-        self.bytes_received += HEADER_SIZE + len(body)
-        return header + body
-
-    def close(self) -> None:
+def serve_pipe(conn: Any, handler: FrameHandler) -> None:
+    """Worker-side request/reply loop over the worker's pipe end (FIFO:
+    everything queued before a stop is answered, then it returns)."""
+    try:
+        while True:
+            try:
+                frame = conn.recv_bytes()
+            except (EOFError, OSError):
+                break
+            # A frame the handler cannot even decode is protocol
+            # corruption — dying (like a torn pipe always did) is
+            # safer than guessing; the parent sweeps the shard.
+            reply, after_send, stop = handler(frame)
+            conn.send_bytes(reply)
+            if after_send is not None:
+                after_send()
+            if stop:
+                break
+    finally:
         try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
+            conn.close()
+        except Exception:  # noqa: BLE001 - teardown best effort
             pass
-        self._sock.close()
 
 
-# -- worker-side listeners ------------------------------------------------
-class Listener:
-    """Worker-side serve loop over one transport flavor."""
+def spawn_pipe_worker(ctx: Any, shard_id: int,
+                      seed: Optional[int]) -> Tuple[Any, PipeTransport]:
+    """Start one shard worker on a fresh duplex pipe; the child end is
+    handed to the worker and closed here.  Returns ``(process,
+    transport)`` with the worker already serving."""
+    from repro.serve.cluster.worker import worker_main
 
-    def serve(self, handler: FrameHandler) -> None:
-        raise NotImplementedError
-
-
-class PipeListener(Listener):
-    """Synchronous request/reply loop over the worker's pipe end —
-    byte-for-byte the loop workers always ran (FIFO: everything queued
-    before a stop is answered, then the process exits)."""
-
-    def __init__(self, conn: Any) -> None:
-        self._conn = conn
-
-    def serve(self, handler: FrameHandler) -> None:
-        conn = self._conn
-        try:
-            while True:
-                try:
-                    frame = conn.recv_bytes()
-                except (EOFError, OSError):
-                    break
-                # A frame the handler cannot even decode is protocol
-                # corruption — dying (like a torn pipe always did) is
-                # safer than guessing; the parent sweeps the shard.
-                reply, after_send, stop = handler(frame)
-                conn.send_bytes(reply)
-                if after_send is not None:
-                    after_send()
-                if stop:
-                    break
-        finally:
-            try:
-                conn.close()
-            except Exception:  # noqa: BLE001 - teardown best effort
-                pass
-
-
-class SocketListener(Listener):
-    """Asyncio TCP server on the worker side.
-
-    Binds an ephemeral port on ``host``, reports ``("ready", host,
-    port)`` over the one-shot bootstrap pipe, then serves connections
-    until a ``stop`` op arrives (its reply is flushed first, so the
-    parent's drain semantics match the pipe exactly).  Dispatch runs
-    synchronously on the loop — one worker process serves one batch at
-    a time regardless of how many connections are open, which is the
-    same serialization the pipe gave for free.
-    """
-
-    def __init__(self, host: str, bootstrap: Any) -> None:
-        self._host = host
-        self._bootstrap = bootstrap
-
-    def serve(self, handler: FrameHandler) -> None:
-        asyncio.run(self._serve(handler))
-
-    async def _serve(self, handler: FrameHandler) -> None:
-        stopping = asyncio.Event()
-
-        async def serve_connection(reader, writer) -> None:
-            try:
-                while True:
-                    try:
-                        header = await reader.readexactly(HEADER_SIZE)
-                        body = await reader.readexactly(
-                            frame_size(header) - HEADER_SIZE
-                        )
-                    except (asyncio.IncompleteReadError,
-                            ConnectionError):
-                        return
-                    try:
-                        reply, after_send, stop = handler(header + body)
-                    except Exception:  # noqa: BLE001 - corrupt frame
-                        # Undecodable bytes mean the stream is torn;
-                        # stop the worker so the parent sweeps it,
-                        # mirroring the pipe's death-on-corruption.
-                        stopping.set()
-                        return
-                    writer.write(reply)
-                    try:
-                        await writer.drain()
-                    except ConnectionError:
-                        return
-                    if after_send is not None:
-                        after_send()
-                    if stop:
-                        stopping.set()
-                        return
-            finally:
-                writer.close()
-
-        server = await asyncio.start_server(
-            serve_connection, host=self._host, port=0
-        )
-        port = server.sockets[0].getsockname()[1]
-        try:
-            self._bootstrap.send(("ready", self._host, port))
-        finally:
-            self._bootstrap.close()
-        async with server:
-            await stopping.wait()
-
-
-# -- worker spawn factories ----------------------------------------------
-class WorkerFactory:
-    """Spawns one worker process and returns the parent-side channel.
-
-    ``spawn`` returns ``(process, transport)``; the worker is already
-    serving when it returns.  ``locality``/``name`` mirror the
-    transport's and drive the service's shipment decisions.
-    """
-
-    name = "worker-factory"
-    locality = "local"
-
-    def spawn(self, ctx: Any, shard_id: int,
-              seed: Optional[int]) -> Tuple[Any, Transport]:
-        raise NotImplementedError
-
-
-class PipeWorkerFactory(WorkerFactory):
-    """Today's flow: duplex pipe, child end handed to the worker."""
-
-    name = "pipe"
-    locality = "local"
-
-    def spawn(self, ctx: Any, shard_id: int,
-              seed: Optional[int]) -> Tuple[Any, Transport]:
-        from repro.serve.cluster.worker import worker_main
-
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        process = ctx.Process(
-            target=worker_main,
-            args=(child_conn, shard_id, seed),
-            name=f"repro-serve-shard-{shard_id}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        return process, PipeTransport(parent_conn)
-
-
-class SocketWorkerFactory(WorkerFactory):
-    """TCP worker: ephemeral-port rendezvous over a bootstrap pipe.
-
-    The factory is the template for true multi-host serving — here the
-    worker is still a local child (the test matrix runs it against
-    ``127.0.0.1``), but the parent side only ever sees a connected
-    socket, so pointing ``spawn`` at a remote launcher changes nothing
-    above this layer.
-    """
-
-    name = "socket"
-    locality = "remote"
-
-    def __init__(self, host: str = "127.0.0.1",
-                 connect_timeout_s: float = 30.0) -> None:
-        self.host = host
-        self.connect_timeout_s = connect_timeout_s
-
-    def spawn(self, ctx: Any, shard_id: int,
-              seed: Optional[int]) -> Tuple[Any, Transport]:
-        from repro.serve.cluster.worker import worker_main
-
-        boot_recv, boot_send = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=worker_main,
-            args=(boot_send, shard_id, seed, "socket", self.host),
-            name=f"repro-serve-shard-{shard_id}",
-            daemon=True,
-        )
-        process.start()
-        boot_send.close()
-        try:
-            if not boot_recv.poll(self.connect_timeout_s):
-                raise RuntimeError(
-                    f"shard {shard_id} did not report its port within "
-                    f"{self.connect_timeout_s:.0f}s"
-                )
-            tag, host, port = boot_recv.recv()
-            if tag != "ready":
-                raise RuntimeError(
-                    f"shard {shard_id} sent a bad bootstrap message: "
-                    f"{tag!r}"
-                )
-        except BaseException:
-            try:
-                process.terminate()
-            except Exception:  # noqa: BLE001
-                pass
-            process.join(timeout=5.0)
-            raise
-        finally:
-            boot_recv.close()
-        sock = socket.create_connection(
-            (host, port), timeout=self.connect_timeout_s
-        )
-        sock.settimeout(None)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return process, SocketTransport(sock, host_key=self.host)
-
-
-def make_worker_transport(spec: Any) -> WorkerFactory:
-    """Resolve a transport spec to a :class:`WorkerFactory`.
-
-    Accepts a factory instance (the pluggable path) or one of
-    :data:`TRANSPORTS`.
-    """
-    if isinstance(spec, WorkerFactory):
-        return spec
-    if spec == "pipe":
-        return PipeWorkerFactory()
-    if spec == "socket":
-        return SocketWorkerFactory()
-    raise ValueError(
-        f"transport must be one of {TRANSPORTS} or a WorkerFactory "
-        f"instance, not {spec!r}"
+    parent_conn, child_conn = ctx.Pipe(duplex=True)
+    process = ctx.Process(
+        target=worker_main,
+        args=(child_conn, shard_id, seed),
+        name=f"repro-serve-shard-{shard_id}",
+        daemon=True,
     )
+    process.start()
+    child_conn.close()
+    return process, PipeTransport(parent_conn)

@@ -1,17 +1,11 @@
-"""Versioned binary wire protocol shared by every cluster transport.
+"""Versioned binary wire protocol between the parent and its shards.
 
-PR 5's worker protocol was implicit: the parent ``conn.send()``-ed
-``(msg_id, op, payload)`` tuples and let ``multiprocessing`` pickle
-them, which welds the protocol to same-machine pipes (pickle framing is
-the pipe's, and the payloads lean on objects only a forked child can
-use).  This module makes the protocol explicit so any byte stream can
-carry it:
+The protocol is explicit rather than left to ``multiprocessing``'s
+pickling, so every byte a worker reads is one the codec defines:
 
 * **frames** — every message is one self-delimiting frame: a fixed
   16-byte header (magic, protocol version, kind, body length, message
-  id) followed by the body.  Pipes preserve message boundaries on
-  their own; a TCP transport uses the header's body length to cut the
-  stream back into frames.  The version byte is checked on every
+  id) followed by the body.  The version byte is checked on every
   decode, so a mixed-version fleet fails loudly instead of
   misinterpreting bytes;
 * **typed messages** — :class:`Request` (op + payload) and
@@ -21,19 +15,11 @@ carry it:
   :class:`WireError`;
 * **a typed value codec** — payloads are encoded with explicit type
   tags (None, bools, ints, floats, str, bytes, tuple/list/dict,
-  numpy arrays with dtype+shape, :class:`ShmArtifactHandle`,
-  :class:`WireArtifact`), with pickle only as the escape hatch for
-  exotic values (e.g. a teacher artifact's closure state).  The codec
-  round-trips exactly — the elastic tier's byte-identical
-  replica-state comparisons run over decoded values — and is
-  property-tested in ``tests/test_wire.py``.
-
-:class:`WireArtifact` is the transport-aware artifact shipment for
-remote shards: shm handles only work for co-located processes, so the
-socket path ships the raw segment bytes (or the pickled artifact) once
-per host into a named host-level cache segment keyed by the artifact's
-transport hash; subsequent publishes of the same bytes to that host
-send only the key and workers attach to the cached segment.
+  numpy arrays with dtype+shape, :class:`ShmArtifactHandle`), with
+  pickle only as the escape hatch for exotic values (e.g. a teacher
+  artifact's closure state).  The codec round-trips exactly — the
+  elastic tier's byte-identical replica-state comparisons run over
+  decoded values — and is property-tested in ``tests/test_wire.py``.
 """
 
 from __future__ import annotations
@@ -41,7 +27,7 @@ from __future__ import annotations
 import pickle
 import struct
 from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Any, Union
 
 import numpy as np
 
@@ -112,35 +98,6 @@ class Reply:
     payload: Any = None
 
 
-@dataclass(frozen=True)
-class WireArtifact:
-    """Transport-aware artifact shipment for non-co-located shards.
-
-    ``key`` is the content key of the shipped bytes (the shm transport
-    hash for tree artifacts, a digest of the pickled bytes otherwise)
-    and ``segment`` the name of the host-level cache segment those
-    bytes live in.  ``payload`` carries the raw bytes exactly once per
-    (host, key): the first worker on a host creates and fills the
-    named segment, every later publish/replay of the same key ships
-    ``payload=None`` and the worker attaches to the existing segment.
-    ``handle`` describes the array layout for tree artifacts (its
-    ``shm_name`` already points at ``segment``); ``handle=None`` means
-    the segment holds one length-prefixed pickled artifact.
-    ``kernel`` piggybacks the compiled native kernel's ``.so`` bytes on
-    the same once-per-(host, key) discipline as ``payload``: shipped
-    only alongside the raw artifact bytes, installed into the host's
-    kernel cache (keyed by the kernel hash in ``handle.meta``), and
-    hash-verified at dlopen — a worker that can't use it just serves
-    through numpy.
-    """
-
-    key: str
-    segment: str
-    handle: Optional[ShmArtifactHandle]
-    payload: Optional[bytes]
-    kernel: Optional[bytes] = None
-
-
 # -- typed value codec ----------------------------------------------------
 _T_NONE = 0
 _T_TRUE = 1
@@ -155,7 +112,8 @@ _T_LIST = 9
 _T_DICT = 10
 _T_NDARRAY = 11  # dtype + shape + C-contiguous raw bytes
 _T_HANDLE = 12   # ShmArtifactHandle
-_T_WIREART = 13  # WireArtifact
+# 13 is retired (it tagged a socket-only artifact shipment); decoding
+# it is a WireError like any unknown tag.
 _T_PICKLE = 14   # escape hatch for values outside the typed surface
 
 _U32 = struct.Struct("!I")
@@ -240,12 +198,6 @@ def _encode_value(buf: bytearray, value: Any) -> None:
             tuple((spec.field, spec.dtype, spec.shape, spec.offset)
                   for spec in value.arrays),
             value.total_bytes, value.transport_hash,
-        ))
-    elif isinstance(value, WireArtifact):
-        buf.append(_T_WIREART)
-        _encode_value(buf, (
-            value.key, value.segment, value.handle, value.payload,
-            value.kernel,
         ))
     else:
         raw = pickle.dumps(value)
@@ -337,11 +289,6 @@ def _decode_value(view: memoryview, pos: int) -> tuple:
                 ),
                 total_bytes=total_bytes, transport_hash=transport_hash,
             ), pos
-        if tag == _T_WIREART:
-            fields, pos = _decode_value(view, pos)
-            key, segment, handle, payload, kernel = fields
-            return WireArtifact(key=key, segment=segment, handle=handle,
-                                payload=payload, kernel=kernel), pos
         if tag == _T_PICKLE:
             size = _U64.unpack_from(view, pos)[0]
             pos += 8
@@ -376,7 +323,7 @@ def _frame(kind: int, msg_id: int, body: bytes,
     if len(body) > 0xFFFFFFFF:
         raise WireError(
             f"frame body of {len(body)} bytes exceeds the u32 length "
-            f"field; ship oversized artifacts through the host cache"
+            f"field"
         )
     return _HEADER.pack(WIRE_MAGIC, version, kind, len(body),
                         msg_id) + body
@@ -432,8 +379,7 @@ def parse_header(header: bytes) -> tuple:
 
 
 def frame_size(header: bytes) -> int:
-    """Total frame size from its header — how stream transports cut a
-    byte stream back into frames."""
+    """Total frame size from its header (header plus body)."""
     _kind, body_len, _msg_id = parse_header(header)
     return HEADER_SIZE + body_len
 

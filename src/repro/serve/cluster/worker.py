@@ -15,14 +15,12 @@ plus structured per-row errors — rather than per-request objects.  That
 keeps the per-request Python cost on the worker near zero, which is the
 whole reason the cluster tier exists.
 
-Since PR 6 the protocol itself lives in
-:mod:`repro.serve.cluster.wire` (versioned, length-prefixed frames with
-typed :class:`Request`/:class:`Reply` messages) and the byte channel in
-:mod:`repro.serve.cluster.transport`: :class:`WorkerCore` holds the
-replica state and turns one request frame into one reply frame, and a
-transport-specific :class:`~repro.serve.cluster.transport.Listener`
-drives it — the synchronous pipe loop workers always ran, or an
-asyncio TCP server for socket shards.
+The protocol lives in :mod:`repro.serve.cluster.wire` (versioned,
+length-prefixed frames with typed :class:`Request`/:class:`Reply`
+messages) and the byte channel in :mod:`repro.serve.cluster.transport`:
+:class:`WorkerCore` holds the replica state and turns one request frame
+into one reply frame, and :func:`~repro.serve.cluster.transport.serve_pipe`
+drives it over the worker's pipe to its parent.
 
 Ops (see :data:`repro.serve.cluster.wire.OPS`): ``publish``,
 ``publish_tombstone``, ``rollback_publish``, ``alias``, ``retire``,
@@ -39,13 +37,10 @@ parent's live sample rate down to the shard)
 (``publish_tombstone`` and ``describe`` exist for the elastic tier:
 replaying retired version slots into a replacement replica, and
 fingerprinting a replica's full control state for lockstep
-verification).  Artifacts arrive three ways: a
-:class:`ShmArtifactHandle` (co-located shards attach the parent's
-segment zero-copy), raw pickled bytes (legacy local fallback), or a
-:class:`~repro.serve.cluster.wire.WireArtifact` — the socket path,
-where the first publish per (host, key) carries the artifact bytes and
-fills a named host-cache segment, and every later one attaches to it
-by name.
+verification).  Artifacts arrive two ways: a
+:class:`ShmArtifactHandle` (the worker attaches the parent's segment
+zero-copy) or the pickled artifact bytes (teachers and other non-tree
+artifacts).
 
 The worker never lets an exception escape the loop: a failing op
 answers ``ok=False`` with the error text, and only ``stop`` or a closed
@@ -54,7 +49,6 @@ channel ends the process.
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 import time
 from typing import Any, Dict, List, Optional, Tuple
@@ -68,16 +62,11 @@ from repro.serve.batcher import (
     ERR_PREDICT,
     ERR_UNKNOWN_MODEL,
 )
-from repro.serve.cluster.shm import (
-    ShmArtifactHandle,
-    create_filled_segment,
-    load_shared_artifact,
-)
-from repro.serve.cluster.transport import PipeListener, SocketListener
+from repro.serve.cluster.shm import ShmArtifactHandle, load_shared_artifact
+from repro.serve.cluster.transport import serve_pipe
 from repro.serve.cluster.wire import (
     Reply,
     Request,
-    WireArtifact,
     decode_frame,
     encode_reply,
 )
@@ -239,20 +228,16 @@ def serve_stacked(
 class WorkerCore:
     """One shard's replica state plus the frame-in/frame-out dispatch.
 
-    Transport-agnostic by construction: :meth:`handle_frame` decodes a
+    Channel-agnostic by construction: :meth:`handle_frame` decodes a
     wire :class:`Request`, applies it, and returns the encoded
-    :class:`Reply` plus the deferred work the listener runs *after*
+    :class:`Reply` plus the deferred work the serve loop runs *after*
     the reply has been flushed (shadow mirroring — a slow shadow must
-    never tax the primaries it mirrors) and the stop flag.  The
-    synchronous pipe loop and the asyncio socket server both drive
-    exactly this method, which is what keeps the two transports
-    behaviorally identical.
+    never tax the primaries it mirrors) and the stop flag.
     """
 
-    def __init__(self, shard_id: int, split_seed: Optional[int] = None,
-                 private_tracker: bool = False) -> None:
+    def __init__(self, shard_id: int,
+                 split_seed: Optional[int] = None) -> None:
         self.shard_id = shard_id
-        self.private_tracker = private_tracker
         self.registry = ModelRegistry()
         #: This replica's own metrics hub.  The parent pulls it over
         #: the control channel (``metrics_snapshot`` op) and renders it
@@ -288,7 +273,7 @@ class WorkerCore:
 
     def handle_frame(self, frame: bytes):
         """Apply one request frame; returns ``(reply_frame,
-        after_send, stop)`` per the listener contract."""
+        after_send, stop)`` per the serve-loop contract."""
         request = decode_frame(frame)
         if not isinstance(request, Request):
             raise TypeError("worker received a reply frame")
@@ -317,77 +302,13 @@ class WorkerCore:
         it zero-copy; pickled ones are full copies and keep nothing
         mapped).
         """
-        if isinstance(packed, WireArtifact):
-            return self._load_wire_artifact(packed)
         if isinstance(packed, ShmArtifactHandle):
-            return load_shared_artifact(
-                packed, private_tracker=self.private_tracker
-            )
+            return load_shared_artifact(packed)
         if isinstance(packed, bytes):
             # Pickle fallback (teacher/function): the parent
             # serialized once and ships the same bytes to every shard.
             return pickle.loads(packed), None
         return packed, None
-
-    def _load_wire_artifact(self, wire: WireArtifact):
-        """Socket-path artifact: fill or attach the host-cache segment.
-
-        ``payload`` present means this worker is the first on its host
-        to see the key: it creates the named segment and writes the
-        bytes (the parent's control lock serializes publishes, so the
-        create never races).  ``payload=None`` means the host already
-        holds the bytes — attach by name.  Either way the artifact is
-        rebuilt exactly as the shm path would, hash-verified before it
-        can serve.
-        """
-        if wire.handle is not None:
-            # Tree artifact: segment holds the flat arrays in shm
-            # layout; the handle's shm_name already names the cache
-            # segment, so the shm loader verifies and maps it as-is.
-            if wire.payload is not None:
-                filler = create_filled_segment(wire.segment, wire.payload)
-                filler.close()
-            if wire.kernel is not None:
-                # Shipped compiled kernel: drop it into this host's
-                # kernel cache so the publish-time compile hook dlopens
-                # it instead of recompiling (best effort — a bad drop
-                # just means the worker compiles or serves numpy).
-                khash = (wire.handle.meta.get("kernel") or {}).get("hash")
-                if khash:
-                    try:
-                        from repro.core.tree import native
-
-                        native.install_kernel_bytes(khash, wire.kernel)
-                    except Exception:  # noqa: BLE001 - numpy fallback
-                        pass
-            return load_shared_artifact(
-                wire.handle, private_tracker=self.private_tracker
-            )
-        # Pickled artifact: segment holds a length-prefixed pickle.
-        if wire.payload is not None:
-            raw = wire.payload
-            filler = create_filled_segment(
-                wire.segment,
-                len(raw).to_bytes(8, "big") + raw,
-            )
-            filler.close()
-        else:
-            from multiprocessing import shared_memory
-
-            segment = shared_memory.SharedMemory(name=wire.segment)
-            try:
-                size = int.from_bytes(bytes(segment.buf[:8]), "big")
-                raw = bytes(segment.buf[8:8 + size])
-            finally:
-                segment.close()
-        digest = hashlib.sha256(raw).hexdigest()[:16]
-        if digest != wire.key:
-            raise RuntimeError(
-                f"cached artifact segment {wire.segment!r} failed "
-                f"verification: expected {wire.key}, bytes hash to "
-                f"{digest}"
-            )
-        return pickle.loads(raw), None
 
     def dispatch(self, op: str, payload, deferred: list,
                  trace: Any = None) -> Any:
@@ -519,33 +440,12 @@ class WorkerCore:
         self.segments.clear()
 
 
-def worker_main(
-    conn,
-    shard_id: int,
-    split_seed: Optional[int] = None,
-    transport: str = "pipe",
-    host: str = "127.0.0.1",
-    private_tracker: bool = False,
-) -> None:
-    """Entry point of one shard process.
-
-    ``conn`` is the duplex pipe end for pipe workers, or the one-shot
-    bootstrap pipe a socket worker reports its bound port over.
-    ``private_tracker`` stays False for workers launched by
-    :class:`ShardedPolicyService` — both fork and spawn children share
-    the parent's resource tracker.  Set it only when running a worker
-    from an *independently started* interpreter whose tracker does not
-    belong to the segment owner.
-    """
-    core = WorkerCore(shard_id, split_seed=split_seed,
-                      private_tracker=private_tracker)
+def worker_main(conn, shard_id: int,
+                split_seed: Optional[int] = None) -> None:
+    """Entry point of one shard process; ``conn`` is its end of the
+    duplex pipe to the parent."""
+    core = WorkerCore(shard_id, split_seed=split_seed)
     try:
-        if transport == "socket":
-            listener = SocketListener(host, conn)
-        elif transport == "pipe":
-            listener = PipeListener(conn)
-        else:
-            raise ValueError(f"unknown worker transport {transport!r}")
-        listener.serve(core.handle_frame)
+        serve_pipe(conn, core.handle_frame)
     finally:
         core.close()

@@ -6,7 +6,9 @@ tree or DNN teacher) under a name, drive decision traffic through
 ``submit``/``submit_many``, and read per-model throughput and tail
 latency back out of ``metrics()`` — the measured substrate for the
 fig16/fig17 latency story, replacing modeled ``DeviceProfile`` constants
-with observed percentiles.
+with observed percentiles.  The cluster tier
+(:class:`~repro.serve.cluster.ShardedPolicyService`) is this server with
+its flushes shipped to shard processes.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.serve.artifact import PolicyArtifact
 from repro.serve.batcher import MicroBatcher, ServeResult
 from repro.serve.registry import ModelRegistry
 from repro.serve.splitter import (
+    TrafficSplit,
     TrafficSplitter,
     check_split_targets,
     guard_retire_against_splits,
@@ -99,9 +102,6 @@ class ServerMetrics:
     *exact* over the bounded ``recent`` window.
 
     Args:
-        max_latency_samples: retained for signature compatibility with
-            pre-histogram callers; percentiles are no longer subject to
-            a retention cap.
         hub: optional :class:`repro.obs.metrics.MetricsHub` to mirror
             requests/errors/latencies into (labeled Prometheus series);
             may also be attached later via :meth:`bind_hub`.
@@ -111,13 +111,11 @@ class ServerMetrics:
             measured by the caller on ``time.perf_counter``.
     """
 
-    def __init__(self, max_latency_samples: int = 200_000,
-                 hub: Any = None,
+    def __init__(self, hub: Any = None,
                  clock: Callable[[], float] = time.perf_counter) -> None:
         self._clock = clock
         self._lock = threading.Lock()
         self._models: Dict[str, _ModelStats] = {}
-        self.max_latency_samples = max_latency_samples
         self._h_requests = None
         self._h_errors = None
         self._h_latency = None
@@ -403,14 +401,30 @@ def register_serving_collectors(
     hub.register_collector(collect)
 
 
+def _close_quietly(part: Any) -> None:
+    """Close one tier component, best effort: teardown must go on."""
+    try:
+        part.close()
+    except Exception:  # noqa: BLE001 - teardown best effort
+        pass
+
+
 class PolicyServer:
     """Threaded serving front door with futures-based submission.
+
+    This is the one control plane both serving tiers share: registry,
+    split table, journal, metrics hub, tracer, flight recorder,
+    exporter, health monitor and online loop live here, and every
+    control operation is written once.  The cluster tier
+    (:class:`~repro.serve.cluster.ShardedPolicyService`) is a subclass
+    whose batcher ships flushes to shard processes; it overrides the
+    two batcher hooks (:meth:`_start_batcher`, :meth:`_stop_batcher`)
+    and the replication hook (:meth:`_replicate`).
 
     Args:
         registry: shared registry (a fresh one is created by default).
         max_batch / max_delay_s: microbatching knobs (see
             :class:`~repro.serve.batcher.MicroBatcher`).
-        max_latency_samples: metrics retention cap.
         adaptive_delay: replace the fixed flush deadline with a
             load-aware :class:`AdaptiveDelay` controller capped at
             ``max_delay_s``.
@@ -441,13 +455,24 @@ class PolicyServer:
         registry: Optional[ModelRegistry] = None,
         max_batch: int = 64,
         max_delay_s: float = 2e-3,
-        max_latency_samples: int = 200_000,
         adaptive_delay: bool = False,
         split_seed: SeedLike = None,
         trace_sample: float = 0.0,
         exporter_port: Optional[int] = None,
         postmortem_dir: Optional[str] = None,
     ) -> None:
+        # Lifecycle state first: close() must work on a tier whose
+        # construction failed part-way (the cluster closes itself when
+        # a shard fails to start).
+        self.health = None
+        self.online = None
+        self.exporter = None
+        #: The online loop's sampled (state, action) ring (None until
+        #: :meth:`start_online`).
+        self.capture = None
+        self._batcher: Optional[MicroBatcher] = None
+        self._closed = False
+        self._close_lock = threading.Lock()
         self.registry = registry if registry is not None else ModelRegistry()
         self.hub = MetricsHub()
         self.tracer = Tracer(sample_rate=trace_sample)
@@ -455,7 +480,7 @@ class PolicyServer:
         #: publish/alias/split/fallback transition lands here, readable
         #: via :meth:`events` and the exporter's ``/events`` endpoint.
         self.journal = EventJournal(hub=self.hub)
-        self._metrics = ServerMetrics(max_latency_samples, hub=self.hub)
+        self._metrics = ServerMetrics(hub=self.hub)
         self.splitter = TrafficSplitter(seed=split_seed)
         # Control-plane emitters write through this server's journal.
         # (A registry shared across servers journals into whichever
@@ -466,27 +491,14 @@ class PolicyServer:
         from repro.core.tree import native as _native
 
         _native.set_event_hook(self.journal.emit)
-        # Serializes split reconfiguration against retire: the retire
-        # guard is check-then-act over the split table, so the two must
-        # not interleave.
+        # Serializes control-plane mutation (alias / retire / splits,
+        # and on the cluster publish and scaling) and its replication:
+        # the retire guard is check-then-act over the split table, and
+        # interleaved broadcasts would diverge the cluster's replicas.
         self._control_lock = threading.Lock()
         self.delay = (
             AdaptiveDelay(max_delay_s=max_delay_s) if adaptive_delay
             else None
-        )
-        self._batcher = MicroBatcher(
-            self.registry,
-            metrics=self._metrics,
-            max_batch=max_batch,
-            max_delay_s=max_delay_s,
-            delay=self.delay,
-            splitter=self.splitter,
-            tracer=self.tracer,
-            hub=self.hub,
-        ).start()
-        register_serving_collectors(
-            self.hub, batcher=self._batcher, delay=self.delay,
-            splitter=self.splitter,
         )
         #: Black-box capture (disabled unless a directory is
         #: configured); the health monitor triggers it on
@@ -498,14 +510,44 @@ class PolicyServer:
             tracer=self.tracer,
             state_fn=self._blackbox_state,
         )
-        self.health = None
-        self.online = None
-        self.exporter = None
-        self._closed = False
+        self._batcher = self._start_batcher(max_batch, max_delay_s)
+        register_serving_collectors(
+            self.hub, batcher=self._batcher, delay=self.delay,
+            splitter=self.splitter,
+        )
         if exporter_port is not None:
             self.start_exporter(port=exporter_port)
 
-    # -- registry passthrough --------------------------------------------
+    def _start_batcher(self, max_batch: int,
+                       max_delay_s: float) -> MicroBatcher:
+        """Build and start the batcher that flushes this tier's
+        requests (in process: predict locally)."""
+        return MicroBatcher(
+            self.registry,
+            metrics=self._metrics,
+            max_batch=max_batch,
+            max_delay_s=max_delay_s,
+            delay=self.delay,
+            splitter=self.splitter,
+            tracer=self.tracer,
+            hub=self.hub,
+        ).start()
+
+    def _stop_batcher(self) -> None:
+        """Drain the batcher: every accepted request completes."""
+        self._batcher.close()
+
+    # -- control plane ---------------------------------------------------
+    def _replicate(self, op: str, payload: Any) -> None:
+        """Carry one applied control change past this process.
+
+        Called under the control lock, after the registry and split
+        table changed, with the op and payload a shard worker applies
+        (see :data:`repro.serve.cluster.wire.OPS`).  In process there
+        is nothing to carry; the cluster logs the change for replay and
+        broadcasts it to every shard.
+        """
+
     def publish(
         self,
         name: str,
@@ -516,7 +558,7 @@ class PolicyServer:
         live traffic at the next batch flush."""
         version = self.registry.publish(name, artifact)
         if alias is not None:
-            self.registry.alias(alias, name)
+            self.alias(alias, name)
         return version
 
     def alias(
@@ -524,9 +566,15 @@ class PolicyServer:
     ) -> None:
         """Install (or repoint) an alias (see
         :meth:`ModelRegistry.alias`) — tracking ``target``'s latest
-        version, or pinned when ``version`` is given.  Same surface as
-        the cluster tier's :meth:`ShardedPolicyService.alias`."""
+        version, or pinned when ``version`` is given."""
+        with self._control_lock:
+            self._alias_locked(alias, target, version)
+
+    def _alias_locked(
+        self, alias: str, target: str, version: Optional[int]
+    ) -> None:
         self.registry.alias(alias, target, version)
+        self._replicate("alias", (alias, target, version))
 
     def retire(self, name: str, version: int) -> None:
         """Drop one old version (see :meth:`ModelRegistry.retire`).
@@ -540,6 +588,7 @@ class PolicyServer:
                 self.splitter.splits(), self.registry, name, version
             )
             self.registry.retire(name, version)
+            self._replicate("retire", (name, version))
 
     def rollback_publish(self, name: str, version: int) -> None:
         """Undo the most recent publish of ``name`` (see
@@ -552,6 +601,7 @@ class PolicyServer:
                 self.splitter.splits(), self.registry, name, version
             )
             self.registry.rollback_publish(name, version)
+            self._replicate("rollback_publish", (name, version))
 
     # -- traffic splitting -----------------------------------------------
     def set_split(
@@ -574,10 +624,18 @@ class PolicyServer:
                 ref, canary=canary, canary_fraction=canary_fraction,
                 shadow=shadow,
             )
+            self._replicate(
+                "set_split", (ref, canary, float(canary_fraction), shadow)
+            )
 
     def clear_split(self, ref: str) -> None:
         with self._control_lock:
             self.splitter.clear(ref)
+            self._replicate("clear_split", ref)
+
+    def splits(self) -> Dict[str, TrafficSplit]:
+        """Active traffic splits, keyed by split reference."""
+        return self.splitter.splits()
 
     def shadow_report(self) -> Dict[str, dict]:
         """Shadow fidelity per split reference (never sent to clients)."""
@@ -588,10 +646,11 @@ class PolicyServer:
         """One decision request; resolves to a :class:`ServeResult`.
 
         The future refuses ``cancel()``.  Called on a running event
-        loop, the request flushes on that loop and the future is one
-        that loop's Tasks ``await`` directly, with done callbacks run on
-        the loop (see :meth:`MicroBatcher.submit`); from any other
-        thread it is a plain ``concurrent.futures.Future``."""
+        loop, the request is gathered with that loop's others and the
+        future is one that loop's Tasks ``await`` directly, with done
+        callbacks run on the loop (see :meth:`MicroBatcher.submit`);
+        from any other thread it is a plain
+        ``concurrent.futures.Future``."""
         return self._batcher.submit(model, state)
 
     def submit_many(
@@ -634,7 +693,8 @@ class PolicyServer:
 
     # -- observability / lifecycle ---------------------------------------
     def metrics(self) -> Dict[str, dict]:
-        """Per-model metrics snapshot (see :class:`ServerMetrics`)."""
+        """Per-model client-observed metrics snapshot (see
+        :class:`ServerMetrics`)."""
         return self._metrics.snapshot()
 
     def backend_report(self) -> Dict[str, Any]:
@@ -680,6 +740,13 @@ class PolicyServer:
             "batching": self.batching_state(),
         }
 
+    def _refuse_if_closed(self, what: str) -> None:
+        if self._closed:
+            raise RuntimeError(
+                f"{type(self).__name__} is closed: {what}() needs a "
+                f"live tier"
+            )
+
     def start_exporter(self, port: int = 0, host: str = "127.0.0.1"):
         """Start the observability HTTP endpoint; see
         :class:`repro.obs.exporter.MetricsExporter`.
@@ -689,11 +756,7 @@ class PolicyServer:
         old silent-return behaviour could leak a second HTTP server
         bound to a stale port.
         """
-        if self._closed:
-            raise RuntimeError(
-                "PolicyServer is closed: start_exporter() would serve "
-                "metrics for a dead server"
-            )
+        self._refuse_if_closed("start_exporter")
         if self.exporter is not None:
             raise RuntimeError(
                 f"exporter already running on {self.exporter.url}; "
@@ -726,7 +789,7 @@ class PolicyServer:
             rules = standard_rules(
                 self._metrics,
                 queue_depth_fn=self._batcher.queue_depth,
-                shadow_report_fn=self.splitter.shadow_report,
+                shadow_report_fn=self.shadow_report,
                 backend_report_fn=self.backend_report,
                 **rule_kwargs,
             )
@@ -770,20 +833,16 @@ class PolicyServer:
             TraceCapture,
         )
 
-        if self._closed:
-            raise RuntimeError(
-                "PolicyServer is closed: start_online() would capture "
-                "for a dead server"
-            )
+        self._refuse_if_closed("start_online")
         if self.online is not None:
             raise RuntimeError("online controller already running")
-        capture = TraceCapture(
+        self.capture = TraceCapture(
             capacity=capacity, sample_rate=sample_rate, seed=seed,
             hub=self.hub,
         )
-        self._batcher.capture = capture
+        self._batcher.capture = self.capture
         redistiller = Redistiller(
-            capture, teacher, min_samples=min_samples,
+            self.capture, teacher, min_samples=min_samples,
             leaf_nodes=leaf_nodes, hist_bins=hist_bins,
             n_classes=n_classes,
             name=controller_kwargs.get("candidate") or f"{ref}-refit",
@@ -798,18 +857,27 @@ class PolicyServer:
         return self.online
 
     def close(self) -> None:
-        """Drain and stop; every submitted request still completes."""
-        self._closed = True
+        """Drain and stop; every submitted request still completes.
+
+        The online loop and the health monitor stop first, so nothing
+        acts on the tier while :meth:`_stop_batcher` drains it; the
+        exporter goes last.  Idempotent, and best effort past a part
+        that fails to close.
+        """
+        with self._close_lock:
+            if self._closed:
+                return
+            self._closed = True
         if self.online is not None:
-            self.online.close()
+            _close_quietly(self.online)
             self.online = None
             self._batcher.capture = None
         if self.health is not None:
-            self.health.close()
+            _close_quietly(self.health)
             self.health = None
-        self._batcher.close()
+        self._stop_batcher()
         if self.exporter is not None:
-            self.exporter.close()
+            _close_quietly(self.exporter)
             self.exporter = None
 
     def __enter__(self) -> "PolicyServer":

@@ -22,11 +22,11 @@ def toy():
     return tree, x
 
 
-@pytest.fixture(scope="module", params=["pipe", "socket"])
+@pytest.fixture(scope="module", params=["pipe"])
 def transport(request):
-    """Every service-level test runs against both worker transports:
-    the multiprocessing pipe (the zero-regression default) and the
-    localhost TCP socket (the wire protocol's stream path)."""
+    """The worker transport under test.  The pipe is the only one; the
+    parameter keeps these tests' ``[pipe]`` ids, which their recorded
+    history is keyed by."""
     return request.param
 
 
@@ -35,8 +35,7 @@ def service(toy, transport):
     """One shared 2-shard service for the read-only tests (spawning
     processes per test would dominate the suite's runtime)."""
     tree, x = toy
-    with ShardedPolicyService(n_shards=2, max_delay_s=1e-3,
-                              transport=transport) as svc:
+    with ShardedPolicyService(n_shards=2, max_delay_s=1e-3) as svc:
         svc.publish("toy", PolicyArtifact.from_tree(tree, name="toy"),
                     alias="toy/prod")
         yield svc
@@ -219,7 +218,7 @@ class TestShardedService:
     def test_retire_propagates_to_shards(self, toy, transport):
         tree, x = toy
         artifact = PolicyArtifact.from_tree(tree, name="m")
-        with ShardedPolicyService(n_shards=2, transport=transport) as svc:
+        with ShardedPolicyService(n_shards=2) as svc:
             svc.publish("m", artifact)
             svc.publish("m", artifact)
             assert svc.submit("m@1", x[0]).result(30).ok
@@ -256,8 +255,7 @@ class TestShardedService:
 
     def test_close_completes_pending_and_rejects_new(self, toy, transport):
         tree, x = toy
-        svc = ShardedPolicyService(n_shards=2, max_delay_s=1e-3,
-                                   transport=transport)
+        svc = ShardedPolicyService(n_shards=2, max_delay_s=1e-3)
         svc.publish("toy", PolicyArtifact.from_tree(tree))
         futures = [svc.submit("toy", row) for row in x[:40]]
         bulk = svc.submit_batch("toy", x[:32])
@@ -293,8 +291,7 @@ class TestShardedService:
 
     def test_worker_death_fails_futures_not_hangs(self, toy, transport):
         tree, x = toy
-        with ShardedPolicyService(n_shards=2, max_delay_s=1e-3,
-                                  transport=transport) as svc:
+        with ShardedPolicyService(n_shards=2, max_delay_s=1e-3) as svc:
             svc.publish("toy", PolicyArtifact.from_tree(tree))
             assert svc.predict("toy", x[:16]).shape == (16,)
             # murder one shard mid-flight
@@ -350,143 +347,10 @@ class TestShardedService:
         states = np.abs(
             np.random.default_rng(3).normal(size=(20, STATE_DIM))
         )
-        with ShardedPolicyService(n_shards=2, transport=transport) as svc:
+        with ShardedPolicyService(n_shards=2) as svc:
             svc.publish("teacher", artifact)
             out = svc.predict("teacher", states)
         assert np.array_equal(out, teacher.act_greedy_batch(states))
-
-
-class TestSocketTransport:
-    """Behaviors specific to the TCP wire path: the host-level
-    artifact cache and the out-of-band worker client."""
-
-    def test_transport_metrics_and_endpoints(self, toy):
-        tree, _ = toy
-        with ShardedPolicyService(n_shards=2, transport="socket") as svc:
-            svc.publish("m", PolicyArtifact.from_tree(tree, name="m"))
-            view = svc.cluster_metrics()["transport"]
-            assert view["name"] == "socket"
-            assert all(per["bytes_sent"] > 0 and per["bytes_received"] > 0
-                       for per in view["per_shard"].values())
-            assert view["host_cache"] == {"keys": 1,
-                                          "hosts": ["127.0.0.1"]}
-            endpoints = svc.worker_endpoints()
-            assert set(endpoints) == {0, 1}
-            assert all(host == "127.0.0.1" and port > 0
-                       for host, port in endpoints.values())
-
-    def test_pipe_has_no_endpoints_or_cache(self, toy):
-        tree, _ = toy
-        with ShardedPolicyService(n_shards=1, transport="pipe") as svc:
-            svc.publish("m", PolicyArtifact.from_tree(tree, name="m"))
-            assert svc.worker_endpoints() == {}
-            view = svc.cluster_metrics()["transport"]
-            assert view["name"] == "pipe"
-            assert view["host_cache"] == {"keys": 0, "hosts": []}
-
-    def test_second_publish_of_same_artifact_ships_zero_bytes(self, toy):
-        """The host-level artifact cache: an artifact's bytes cross
-        the wire once per (host, content); a second publish of the
-        same tree ships only small control frames."""
-        _, x = toy
-        # A deep tree, so the segment image dwarfs a control frame and
-        # the byte counters separate cleanly.
-        rng = np.random.default_rng(1)
-        y = rng.integers(0, 4, len(x))
-        tree = DecisionTreeClassifier(max_leaf_nodes=256).fit(x, y)
-        artifact = PolicyArtifact.from_tree(tree, name="m")
-        with ShardedPolicyService(n_shards=2, transport="socket") as svc:
-            svc.publish("m", artifact)
-            sent_after_first = {
-                shard.shard_id: shard.transport.bytes_sent
-                for shard in svc._shards
-            }
-            # Exactly one shard carried the payload bytes (the full
-            # shared-segment image) on top of the control frame; its
-            # sibling on the same host attached by segment name.  The
-            # control frame itself (handle + provenance) is shipped to
-            # every shard, so discriminate on the *spread*.
-            segment_size = svc._segments[("m", 1)].size
-            frame_only = min(sent_after_first.values())
-            spread = max(sent_after_first.values()) - frame_only
-            assert spread >= segment_size, (sent_after_first, segment_size)
-            svc.publish("m2", PolicyArtifact.from_tree(tree, name="m2"))
-            deltas = {
-                shard.shard_id:
-                    shard.transport.bytes_sent
-                    - sent_after_first[shard.shard_id]
-                for shard in svc._shards
-            }
-            # same flat arrays -> same wire key -> cache hit on every
-            # shard: only the publish control frame moves, never the
-            # artifact image again.
-            assert all(
-                delta <= frame_only + segment_size // 2
-                for delta in deltas.values()
-            ), (deltas, frame_only, segment_size)
-            assert svc.cluster_metrics()["transport"]["host_cache"][
-                "keys"] == 1
-
-    def test_retire_releases_cache_segment(self, toy):
-        from multiprocessing import shared_memory
-
-        from repro.serve.cluster.shm import host_cache_segment_name
-
-        tree, x = toy
-        artifact = PolicyArtifact.from_tree(tree, name="m")
-        with ShardedPolicyService(n_shards=1, transport="socket") as svc:
-            svc.publish("m", artifact)
-            svc.publish("m", PolicyArtifact.from_tree(
-                DecisionTreeClassifier(max_leaf_nodes=4).fit(
-                    x, (x[:, 0] > 0.5).astype(int)
-                ), name="m",
-            ))
-            assert len(svc._cache_refs) == 2
-            key = svc._version_keys[("m", 1)]
-            name = host_cache_segment_name(svc._cache_token, key)
-            seg = shared_memory.SharedMemory(name=name)
-            seg.close()
-            svc.retire("m", 1)
-            assert len(svc._cache_refs) == 1
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-            # the survivor still serves
-            assert svc.submit("m", x[0]).result(30).ok
-
-    def test_async_worker_client_reads_live_worker(self, toy):
-        import asyncio
-
-        from repro.serve.aio import AsyncWorkerClient
-
-        tree, x = toy
-        with ShardedPolicyService(n_shards=2, transport="socket") as svc:
-            svc.publish("m", PolicyArtifact.from_tree(tree, name="m"))
-            parent_digest = svc.replica_states()["parent"]["digest"]
-            shard_id, (host, port) = next(
-                iter(svc.worker_endpoints().items())
-            )
-
-            async def probe():
-                client = await AsyncWorkerClient.connect(host, port)
-                try:
-                    pong = await client.ping()
-                    state = await client.describe()
-                    reply = await client.predict("m", x[:4])
-                finally:
-                    await client.close()
-                return pong, state, reply
-
-            pong, state, reply = asyncio.run(probe())
-            assert pong == ("pong", shard_id)
-            # the out-of-band view matches the parent's lockstep state
-            assert state["digest"] == parent_digest
-            groups = reply["groups"]
-            assert len(groups) == 1 and not reply["errors"]
-            name, version, idx, actions = groups[0]
-            assert (name, version) == ("m", 1)
-            assert np.array_equal(actions, tree.predict(x[:4]))
-            # the parent's own connection still works afterwards
-            assert svc.submit("m", x[0]).result(30).ok
 
 
 class TestFig16ClusterMode:

@@ -51,3 +51,36 @@ def test_docs_snippets_execute(guide):
     path = REPO_ROOT / "docs" / guide
     errors = check_docs.run_snippets([path])
     assert not errors, "\n".join(errors)
+
+
+def test_snippets_must_close_the_workers_they_start(tmp_path, monkeypatch):
+    """A page that opens a cluster and never closes it leaves its shard
+    worker running: the check reports it and terminates the child."""
+    import multiprocessing
+    import sys
+    import types
+
+    # The page hands its service to the test via this module, so the
+    # test can close it after the check.
+    holder = types.ModuleType("leak_holder")
+    holder.services = []
+    monkeypatch.setitem(sys.modules, "leak_holder", holder)
+    page = tmp_path / "leaky.md"
+    page.write_text(
+        "```python\n"
+        "import leak_holder\n"
+        "from repro.serve.cluster import ShardedPolicyService\n"
+        "service = ShardedPolicyService(n_shards=1)\n"
+        "leak_holder.services.append(service)\n"
+        "```\n"
+    )
+    try:
+        errors = check_docs.run_snippets([page])
+        assert len(errors) == 1, errors
+        assert "leaky.md left 1 child process(es) running" in errors[0]
+        worker = holder.services[0]._shards[0].process
+        assert not worker.is_alive()
+        assert worker not in multiprocessing.active_children()
+    finally:
+        for service in holder.services:
+            service.close()

@@ -305,23 +305,6 @@ class TestCache:
             assert kernel is not None
             assert np.array_equal(kernel.apply(x), want)
 
-    def test_install_kernel_bytes_round_trip(self, fitted):
-        # The cluster ships raw .so bytes; installing them must produce
-        # a loadable, hash-verified kernel on the receiving host.
-        tree, x = fitted
-        flat = fresh_flat(tree)
-        khash = native.kernel_hash(flat)
-        native.compile_kernel(flat, khash)
-        blob = native.kernel_bytes(khash)
-        assert blob is not None and len(blob) > 0
-        (native.cache_dir() / f"{khash}.so").unlink()
-        native.install_kernel_bytes(khash, blob)
-        kernel = native.ensure_kernel(flat, compile=False)
-        assert kernel is not None
-        assert np.array_equal(
-            kernel.apply(x), fresh_flat(tree).apply(x, backend="numpy")
-        )
-
 
 class TestFallback:
     """No compiler anywhere: serving must not notice."""

@@ -245,7 +245,14 @@ class TestTracer:
 
 class TestExporter:
     def _scrape(self, url: str) -> bytes:
-        return urllib.request.urlopen(url, timeout=5).read()
+        try:
+            with urllib.request.urlopen(url, timeout=5) as response:
+                return response.read()
+        except urllib.error.HTTPError as err:
+            # The error holds the response and its socket; close it
+            # before the caller inspects the status code.
+            err.close()
+            raise
 
     def test_endpoints(self):
         hub = MetricsHub()
@@ -312,9 +319,9 @@ class TestServerMetricsPercentiles:
 
     def test_snapshot_percentiles_never_freeze(self):
         # The old capped-list implementation stopped absorbing samples
-        # at max_latency_samples; the streaming histogram must keep
+        # at its retention cap; the streaming histogram must keep
         # tracking a shifted distribution past any cap.
-        metrics = ServerMetrics(max_latency_samples=100)
+        metrics = ServerMetrics()
         metrics.record_group("m", 1, [0.001] * 200)
         before = metrics.snapshot()["m"]["latency_ms"]["p50"]
         metrics.record_group("m", 1, [0.1] * 2000)

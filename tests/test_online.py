@@ -572,18 +572,17 @@ class TestRoutedServiceEstimate:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end over both transports, on a fake clock
+# End-to-end on a fake clock
 # ---------------------------------------------------------------------------
-def _online_cluster(transport, burn_flag=None, n_shards=1,
-                    self_heal=False):
+def _online_cluster(burn_flag=None, n_shards=1, self_heal=False):
     """A 4-feature cluster serving alias ``abr`` -> ``policy`` (trained
     at threshold 0.5), with a published teacher at threshold 0.3 and a
     fake-clock monitor watching shadow agreement (plus an injectable
     p95 burn predicate)."""
     from repro.serve.cluster import ShardedPolicyService
 
-    svc = ShardedPolicyService(n_shards=n_shards, transport=transport,
-                               max_delay_s=1e-3, self_heal=self_heal)
+    svc = ShardedPolicyService(n_shards=n_shards, max_delay_s=1e-3,
+                               self_heal=self_heal)
     svc.publish("policy", _tree_artifact("policy", 0.5))
     svc.alias("abr", "policy")
     svc.publish("teacher", PolicyArtifact.from_teacher(
@@ -619,7 +618,9 @@ def _drive(svc, n=256, seed=0):
     return results
 
 
-@pytest.mark.parametrize("transport", ["pipe", "socket"])
+# The pipe is the only worker transport; the parameter keeps these
+# tests' [pipe] ids, which their recorded history is keyed by.
+@pytest.mark.parametrize("transport", ["pipe"])
 class TestOnlineEndToEnd:
     def test_drift_refit_ramp_promote(self, transport):
         """The paper's loop, closed: the served model degrades (its
@@ -627,7 +628,7 @@ class TestOnlineEndToEnd:
         produced from captured traffic, ramps through the canary
         stages, and is promoted to the alias — every decision on a
         fake clock."""
-        svc, ctl, monitor, clock = _online_cluster(transport)
+        svc, ctl, monitor, clock = _online_cluster()
         try:
             # Arm worker-side sampling (first drain pushes the rate).
             ctl.tick(now=clock())
@@ -679,9 +680,7 @@ class TestOnlineEndToEnd:
         triggers rollback_publish — the candidate version is gone
         everywhere, the split is cleared, and serving continues."""
         burn = {"on": False}
-        svc, ctl, monitor, clock = _online_cluster(
-            transport, burn_flag=burn
-        )
+        svc, ctl, monitor, clock = _online_cluster(burn_flag=burn)
         try:
             ctl.tick(now=clock())
             refit = _tree_artifact("abr-refit", 0.3, seed=5)
@@ -725,7 +724,7 @@ class TestOnlineEndToEnd:
         import time as _time
 
         svc, ctl, monitor, clock = _online_cluster(
-            transport, n_shards=2, self_heal=False
+            n_shards=2, self_heal=False
         )
         try:
             ctl.tick(now=clock())
@@ -781,15 +780,17 @@ class TestOnlineEndToEnd:
 # ---------------------------------------------------------------------------
 # Worker capture drain plumbing
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("transport", ["pipe", "socket"])
+# The pipe is the only worker transport; the parameter keeps these
+# tests' [pipe] ids, which their recorded history is keyed by.
+@pytest.mark.parametrize("transport", ["pipe"])
 class TestWorkerCaptureDrain:
     def test_capture_drains_from_workers_with_shard_labels(
             self, transport):
-        svc, ctl, _monitor, clock = _online_cluster(transport)
+        svc, ctl, _monitor, clock = _online_cluster()
         try:
             ctl.tick(now=clock())  # arm worker sampling
             _drive(svc, 96)
-            svc._drain_worker_captures()
+            svc._drain_workers("capture_drain")
             entries = svc.capture.entries_since(0)
             assert len(entries) >= 90
             assert all("shard" in e and "origin_seq" in e
@@ -797,7 +798,7 @@ class TestWorkerCaptureDrain:
             assert {e["model"] for e in entries} == {"policy"}
             # Drains are incremental: a second drain adds nothing new.
             before = len(svc.capture)
-            svc._drain_worker_captures()
+            svc._drain_workers("capture_drain")
             assert len(svc.capture) == before
         finally:
             svc.close()

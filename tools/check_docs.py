@@ -12,7 +12,9 @@ Two checks, both enforced by CI (the ``docs`` job) and by
   guide can build state across snippets like a REPL session.  A block
   whose first line is ``# doc: no-exec`` is skipped (for illustrative
   fragments that need unavailable context); use sparingly — a snippet
-  that runs is a snippet that cannot rot.
+  that runs is a snippet that cannot rot.  A page must also close what
+  it opens: a worker process it started and left running (an unclosed
+  ``ShardedPolicyService``) is reported, then terminated.
 
 Run from the repo root::
 
@@ -21,6 +23,7 @@ Run from the repo root::
 
 from __future__ import annotations
 
+import multiprocessing
 import re
 import sys
 from pathlib import Path
@@ -95,7 +98,9 @@ def run_snippets(files: List[Path] = None) -> List[str]:
 
     Blocks of one file run in order in a shared namespace (so guides
     read like a session); files are independent.  README is link-checked
-    only — its snippets assume interactive context by design.
+    only — its snippets assume interactive context by design.  Child
+    processes a file starts and leaves running are reported and
+    terminated at the end of the file.
     """
     errors: List[str] = []
     targets = (
@@ -104,17 +109,37 @@ def run_snippets(files: List[Path] = None) -> List[str]:
     )
     for path in targets:
         namespace: Dict = {"__name__": f"__doc_{path.stem}__"}
+        before = set(multiprocessing.active_children())
         for line, source in python_snippets(path):
             try:
                 code = compile(source, f"{path.name}:{line}", "exec")
                 exec(code, namespace)  # noqa: S102 - our own docs
             except Exception as exc:  # noqa: BLE001 - report, continue
                 errors.append(
-                    f"{path.relative_to(REPO_ROOT)} snippet at line "
+                    f"{_page_name(path)} snippet at line "
                     f"{line} failed: {type(exc).__name__}: {exc}"
                 )
                 break  # later blocks may depend on this one's state
+        leaked = [child for child in multiprocessing.active_children()
+                  if child not in before]
+        if leaked:
+            errors.append(
+                f"{_page_name(path)} left {len(leaked)} child "
+                f"process(es) running: "
+                f"{sorted(child.name for child in leaked)}"
+            )
+        for child in leaked:
+            child.terminate()
+            child.join(timeout=10.0)
     return errors
+
+
+def _page_name(path: Path) -> str:
+    """``path`` relative to the repo root when it lives there."""
+    try:
+        return str(path.relative_to(REPO_ROOT))
+    except ValueError:
+        return str(path)
 
 
 def main() -> int:
