@@ -172,6 +172,7 @@ def test_bench_serve_throughput_and_scenarios():
         max_batch=N_CONCURRENT_CLIENTS, max_delay_s=1e-3
     ) as server:
         server.publish("abr", native_artifact)
+        server.wait_kernels()
         server.predict("abr", pool[:64])  # warm-up
         batched_native = run_load(
             server, "abr", pool,

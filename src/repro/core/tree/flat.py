@@ -212,50 +212,48 @@ class FlatTree:
 
     # -- compiled backend ------------------------------------------------
     def attach_kernel(self, kernel) -> None:
-        """Adopt an already-loaded native kernel (cluster worker path)."""
+        """Adopt an already-loaded native kernel; ``None`` records that
+        this tree gets none (its numpy rows then count as fallback)."""
         self._native = kernel
         self._native_failed = kernel is None
         self._native_probed = True
 
-    def native_kernel(self, compile: bool = True):
+    def native_kernel(self, compile: bool = True, cancel=None):
         """The attached/cached/compiled kernel for this tree, or None.
 
-        Best-effort by contract (never raises): a missing compiler, a
-        failed compile, or a corrupt cache entry just returns None and
-        the numpy backend keeps serving.
+        With ``compile`` unset this only probes the cache.  Best-effort
+        by contract (never raises): a missing compiler, a failed
+        compile, or a corrupt cache entry just returns None and the
+        numpy backend keeps serving.  A compile stopped through
+        ``cancel`` (see :func:`~repro.core.tree.native.ensure_kernel`)
+        records no failure.
         """
         if self._native is not None:
             return self._native
         if self._native_failed:
             return None
-        kernel = _native.ensure_kernel(self, compile=compile)
+        kernel = _native.ensure_kernel(self, compile=compile, cancel=cancel)
         self._native_probed = True
         if kernel is not None:
             self._native = kernel
-        elif compile:
+        elif compile and not (cancel is not None and cancel.is_set()):
             self._native_failed = True
         return kernel
 
-    def _backend_kernel(self, x: np.ndarray, mode: str):
-        """Kernel to use for this batch under ``mode``, or None.
+    def _backend_kernel(self, mode: str):
+        """Kernel to use under ``mode``, or None.
 
-        ``native`` always tries (compiling if needed); ``auto`` uses an
-        attached kernel for any batch, probes the disk cache once, and
-        only pays a compile for batches large enough to amortize it.
+        ``native`` always tries, compiling if needed.  ``auto`` never
+        compiles: it uses an attached kernel and probes the disk cache
+        once.
         """
         if mode == "numpy" or self.feature[0] < 0:
             return None
         if self._native is not None:
             return self._native
-        if self._native_failed:
+        if self._native_failed or (mode == "auto" and self._native_probed):
             return None
-        want_compile = (
-            mode == "native"
-            or x.shape[0] >= _native.AUTO_COMPILE_MIN_ROWS
-        )
-        if not want_compile and self._native_probed:
-            return None
-        return self.native_kernel(compile=want_compile)
+        return self.native_kernel(compile=mode == "native")
 
     def _native_disable(self) -> None:
         """A kernel call blew up mid-serve: drop to numpy permanently
@@ -269,8 +267,9 @@ class FlatTree:
         self.backend_stats["numpy_rows"] += rows
         # Only count a *fallback* when native was expected: forced
         # native mode, or auto mode after a failed compile/load.  Auto
-        # deciding a small batch isn't worth a compile is policy, not
-        # degradation.
+        # serving numpy while no kernel is attached yet (a serving
+        # tier's compile is still running, or nobody asked for one) is
+        # policy, not degradation.
         if mode == "native" or (mode == "auto" and self._native_failed):
             self.backend_stats["fallback_rows"] += rows
             _native.note_fallback(rows)
@@ -300,7 +299,7 @@ class FlatTree:
             self.backend_stats["numpy_rows"] += n
             return np.zeros(n, dtype=np.intp)
         mode = _native.backend_mode(backend)
-        kernel = self._backend_kernel(x, mode)
+        kernel = self._backend_kernel(mode)
         if kernel is not None:
             try:
                 out = kernel.apply(x)
@@ -379,7 +378,7 @@ class FlatTree:
         x = np.ascontiguousarray(np.asarray(x, dtype=float))
         if x.ndim == 2 and self.feature[0] >= 0:
             mode = _native.backend_mode(backend)
-            kernel = self._backend_kernel(x, mode)
+            kernel = self._backend_kernel(mode)
             if kernel is not None:
                 try:
                     out = kernel.predict_class(x)

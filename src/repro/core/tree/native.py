@@ -41,13 +41,23 @@ concurrent publishes of the same artifact can never tear a ``.so``, and
 the cache is LRU-pruned by mtime (``REPRO_KERNEL_CACHE_LIMIT``, default
 128 kernels).
 
+Compiles are single-flight per kernel hash within a process: a caller
+that finds another thread compiling the same tree waits for that
+compile and loads its result.  A compile can be cancelled through a
+``threading.Event``; the compiler runs in its own process group, so a
+cancel kills it with everything it started.
+
 Everything here is best-effort by contract: no compiler, a compile
 error, a hash mismatch at dlopen, or a corrupt cache entry must degrade
 to the numpy backend with a counter bump (:func:`native_stats`), never
 an exception on a serve path.  Backend selection honours
-``REPRO_TREE_BACKEND`` (``numpy`` | ``native`` | ``auto``; ``auto`` uses
-a compiled kernel when one is already attached or cached and compiles
-lazily only for batches large enough to amortize the compile).
+``REPRO_TREE_BACKEND`` (``numpy`` | ``native`` | ``auto``).  ``native``
+sends every predict through a kernel and compiles one when it has to.
+``auto`` never compiles: it uses a kernel already attached to the tree,
+or one it finds in the cache.  A serving tier compiles a published
+tree's kernel on its own compile thread, off the publish path
+(:class:`repro.serve.kernels.KernelCompiler`), and attaches it when
+ready.
 """
 
 from __future__ import annotations
@@ -57,9 +67,11 @@ import hashlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import tempfile
 import threading
+import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -73,11 +85,6 @@ KERNEL_API = 1
 #: change so stale cache entries can never serve a new layout.
 KERNEL_VERSION = 1
 
-#: ``auto`` only triggers a *compile* for batches at least this large —
-#: a one-off small predict must not eat a ~100ms compile.  Already
-#: compiled (attached or cached) kernels are used for any batch size.
-AUTO_COMPILE_MIN_ROWS = 8192
-
 #: Trees wider than this don't get kernels (emitted source would be
 #: absurd); far beyond anything distillation produces.
 MAX_KERNEL_NODES = 1 << 20
@@ -87,6 +94,11 @@ MAX_KERNEL_NODES = 1 << 20
 DENSE_DEPTH_LIMIT = 64
 
 _CC_FLAGS = ["-O2", "-shared", "-fPIC", "-fno-math-errno"]
+#: A compile that runs longer than this is killed and counts as failed.
+_CC_TIMEOUT_S = 120.0
+#: How often a running compile, or a caller waiting on another
+#: thread's compile of the same tree, checks its cancel event.
+_POLL_S = 0.01
 
 _BACKENDS = ("numpy", "native", "auto")
 
@@ -99,26 +111,53 @@ class NativeUnavailable(RuntimeError):
 _STATS_LOCK = threading.Lock()
 _STATS: Dict[str, int] = {}
 _LAST_ERROR: Optional[str] = None
-#: Optional event sink with the signature of
-#: :meth:`repro.obs.events.EventJournal.emit`; the owning serving tier
-#: (or worker replica) installs its journal here so silent kernel
-#: degradations surface as ``kernel_fallback`` events, not just a
-#: counter an operator has to know to watch.
-_EVENT_HOOK = None
+#: Event sinks with the signature of
+#: :meth:`repro.obs.events.EventJournal.emit`, newest last.  Each live
+#: serving tier (or worker replica) installs its journal here so silent
+#: kernel degradations surface as ``kernel_fallback`` events, not just a
+#: counter an operator has to know to watch; the newest live one
+#: receives them.
+_EVENT_HOOKS: List[Any] = []
+#: Kernel hash -> lock held while that kernel compiles (single flight).
+_FLIGHTS_LOCK = threading.Lock()
+_FLIGHTS: Dict[str, threading.Lock] = {}
 
 
-def set_event_hook(hook) -> None:
-    """Install (or clear, with ``None``) the module's event sink —
-    called as ``hook("kernel_fallback", severity=..., labels=...,
-    **fields)``.  Process-global, last writer wins; exceptions from the
-    hook are swallowed on the serving path."""
-    global _EVENT_HOOK
-    _EVENT_HOOK = hook
+def _reset_locks_in_child() -> None:
+    """A forked child inherits every lock in the state it had at the
+    fork, possibly held by a parent thread that does not exist in the
+    child (a compile thread mid-compile).  Start the child clean."""
+    global _STATS_LOCK, _FLIGHTS_LOCK
+    _STATS_LOCK = threading.Lock()
+    _FLIGHTS_LOCK = threading.Lock()
+    _FLIGHTS.clear()
+
+
+os.register_at_fork(after_in_child=_reset_locks_in_child)
+
+
+def add_event_hook(hook) -> None:
+    """Install an event sink, called as ``hook("kernel_fallback",
+    severity=..., labels=..., **fields)``.  Process-global: the newest
+    installed hook receives the events, until it is removed with
+    :func:`remove_event_hook`.  Exceptions from the hook are swallowed
+    on the serving path."""
+    _EVENT_HOOKS.append(hook)
+
+
+def remove_event_hook(hook) -> None:
+    """Uninstall ``hook`` (a no-op when it is not installed), so events
+    go back to the previously installed one."""
+    try:
+        _EVENT_HOOKS.remove(hook)
+    except ValueError:
+        pass
 
 
 def _emit_event(**fields) -> None:
-    hook = _EVENT_HOOK
-    if hook is None:
+    try:
+        hook = _EVENT_HOOKS[-1]
+    except IndexError:
         return
     try:
         hook("kernel_fallback", severity="warn", labels=None, **fields)
@@ -579,11 +618,60 @@ def _load_kernel(path: Path, expect_hash: str) -> Optional[NativeKernel]:
         return None
 
 
-def compile_kernel(flat: Any, khash: Optional[str] = None) -> Path:
+def _run_compiler(command: List[str], log_path: Path,
+                  cancel: Optional[threading.Event]) -> None:
+    """Run one compiler invocation, its stderr going to ``log_path``.
+
+    Raises :class:`NativeUnavailable` on a non-zero exit, a timeout or a
+    cancel; every exit path leaves no compiler process running.  The
+    compiler gets no pipe: a shard worker forked meanwhile inherits the
+    parent's descriptors, and an inherited pipe end would keep the
+    compiler waiting for an end of file that never comes.
+    """
+    # Its own process group (so a kill reaches cc1 and as too), but not
+    # its own session: a new session is a new scheduler autogroup, which
+    # a busy serving process starves of CPU.
+    with open(log_path, "wb") as log:
+        proc = subprocess.Popen(
+            command, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+            stderr=log, process_group=0,
+        )
+    deadline = time.monotonic() + _CC_TIMEOUT_S
+    try:
+        while True:
+            try:
+                proc.wait(timeout=_POLL_S)
+                break
+            except subprocess.TimeoutExpired:
+                if cancel is not None and cancel.is_set():
+                    raise NativeUnavailable("compile cancelled")
+                if time.monotonic() > deadline:
+                    raise NativeUnavailable(
+                        f"{command[0]} timed out after {_CC_TIMEOUT_S:.0f}s"
+                    )
+    finally:
+        if proc.returncode is None:
+            # The compiler and what it started (cc1, as) share its
+            # process group.
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except OSError:
+                pass
+            proc.wait()
+    if proc.returncode != 0:
+        text = log_path.read_text(errors="replace").strip()
+        raise NativeUnavailable(
+            f"{command[0]} failed ({proc.returncode}): {text[:400]}"
+        )
+
+
+def compile_kernel(flat: Any, khash: Optional[str] = None,
+                   cancel: Optional[threading.Event] = None) -> Path:
     """Emit + compile one kernel into the cache; returns the ``.so``.
 
-    Raises :class:`NativeUnavailable` when there is no compiler or the
-    compile fails — :func:`ensure_kernel` is the never-raising wrapper.
+    Raises :class:`NativeUnavailable` when there is no compiler, the
+    compile fails, or ``cancel`` is set while it runs (the compiler is
+    killed) — :func:`ensure_kernel` is the never-raising wrapper.
     """
     if khash is None:
         khash = kernel_hash(flat)
@@ -593,21 +681,15 @@ def compile_kernel(flat: Any, khash: Optional[str] = None) -> Path:
     source = emit_kernel_source(flat, khash)
     root = cache_dir()
     so_path = root / f"{khash}.so"
-    _atomic_write(root / f"{khash}.c", source.encode())
+    c_path = root / f"{khash}.c"
+    _atomic_write(c_path, source.encode())
     command = compiler + _CC_FLAGS
     with tempfile.TemporaryDirectory(prefix="repro-kernel-") as tmp:
         tmp_so = Path(tmp) / f"{khash}.so"
-        proc = subprocess.run(
-            command + ["-o", str(tmp_so), "-x", "c", "-"],
-            input=source.encode(),
-            capture_output=True,
-            timeout=120,
-        )
-        if proc.returncode != 0 or not tmp_so.exists():
-            stderr = proc.stderr.decode(errors="replace").strip()
-            raise NativeUnavailable(
-                f"{command[0]} failed ({proc.returncode}): {stderr[:400]}"
-            )
+        _run_compiler(command + ["-o", str(tmp_so), str(c_path)],
+                      Path(tmp) / "cc.log", cancel)
+        if not tmp_so.exists():
+            raise NativeUnavailable(f"{command[0]} wrote no {tmp_so.name}")
         _atomic_write(so_path, tmp_so.read_bytes())
     _atomic_write(
         root / f"{khash}.json",
@@ -624,13 +706,40 @@ def compile_kernel(flat: Any, khash: Optional[str] = None) -> Path:
     return so_path
 
 
-def ensure_kernel(flat: Any, compile: bool = True) -> Optional[NativeKernel]:
+def _load_cached(khash: str) -> Optional[NativeKernel]:
+    """The cached kernel for ``khash``, or None (missing or corrupt)."""
+    path = cache_dir() / f"{khash}.so"
+    if not path.exists():
+        return None
+    kernel = _load_kernel(path, khash)
+    if kernel is not None:
+        _bump("cache_hits")
+        _touch(path)
+    return kernel
+
+
+def _flight(khash: str) -> threading.Lock:
+    with _FLIGHTS_LOCK:
+        return _FLIGHTS.setdefault(khash, threading.Lock())
+
+
+def ensure_kernel(flat: Any, compile: bool = True,
+                  cancel: Optional[threading.Event] = None
+                  ) -> Optional[NativeKernel]:
     """Load (and optionally compile) the kernel for ``flat``.
 
     Never raises: any failure — unkernelable tree, missing compiler,
     compile error, corrupt cache entry — returns ``None`` after
     recording a counter, which is exactly the numpy-fallback contract
-    the serve path relies on.
+    the serve path relies on.  A corrupt cache entry is recompiled.
+
+    Compiles are single-flight per kernel hash: while one thread
+    compiles a tree, other callers for the same tree wait and then load
+    its result, so a process never runs the compiler twice for one
+    kernel at once.  The cache probe (``compile=False``) takes no flight
+    lock and never waits.  A set ``cancel`` event stops the wait or
+    kills the running compiler; a cancelled call returns None and
+    counts nothing.
     """
     try:
         khash = kernel_hash(flat)
@@ -642,25 +751,28 @@ def ensure_kernel(flat: Any, compile: bool = True) -> Optional[NativeKernel]:
         _bump("unkernelable")
         _note_error(f"hash: {exc}")
         return None
-    path = cache_dir() / f"{khash}.so"
-    if path.exists():
-        kernel = _load_kernel(path, khash)
-        if kernel is not None:
-            _bump("cache_hits")
-            _touch(path)
-            return kernel
-        # Corrupt or stale entry: fall through to a fresh compile.
-    if not compile:
-        return None
+    kernel = _load_cached(khash)
+    if kernel is not None or not compile:
+        return kernel
+    flight = _flight(khash)
+    while not flight.acquire(timeout=_POLL_S):
+        if cancel is not None and cancel.is_set():
+            return None
     try:
-        so_path = compile_kernel(flat, khash)
-    except NativeUnavailable as exc:
-        _bump("compile_failures")
-        _note_error(str(exc))
-        return None
-    except Exception as exc:  # noqa: BLE001 - compile must never escape
-        _bump("compile_failures")
-        _note_error(f"compile: {exc}")
-        return None
-    _bump("compiles")
-    return _load_kernel(so_path, khash)
+        # The flight we waited on may have compiled it.
+        kernel = _load_cached(khash)
+        if kernel is not None:
+            return kernel
+        try:
+            so_path = compile_kernel(flat, khash, cancel=cancel)
+        except Exception as exc:  # noqa: BLE001 - compile must never escape
+            if cancel is not None and cancel.is_set():
+                return None
+            _bump("compile_failures")
+            _note_error(str(exc) if isinstance(exc, NativeUnavailable)
+                        else f"compile: {exc}")
+            return None
+        _bump("compiles")
+        return _load_kernel(so_path, khash)
+    finally:
+        flight.release()

@@ -60,6 +60,7 @@ def _live_serving_table(tree, fast: bool):
         server.publish(
             "auto-lrla", PolicyArtifact.from_tree(tree, name="auto-lrla")
         )
+        server.wait_kernels()
         report = run_load(
             server, "auto-lrla", states,
             n_clients=8, repeats=1 if fast else 2, scenario="flows",
@@ -104,6 +105,7 @@ def _cluster_serving_table(tree, fast: bool, n_shards: int = 2):
         service.publish(
             "auto-lrla", PolicyArtifact.from_tree(tree, name="auto-lrla")
         )
+        service.wait_kernels()
         service.predict("auto-lrla", states[:64])  # warm-up
         closed = run_load_async(
             service, "auto-lrla", states,

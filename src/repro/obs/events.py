@@ -58,6 +58,8 @@ EVENT_KINDS = (
     "autoscale_down",   # the autoscaler shrank the fleet
     "canary_change",    # a traffic split was installed/updated/cleared
     "kernel_fallback",  # native kernel rows served by numpy instead
+    "kernel_ready",     # a published tree's kernel compiled and attached
+    "kernel_unavailable",  # a published tree's kernel could not be built
     "slo_breach",       # an alert predicate first went true (pending)
     "alert_fire",       # an alert survived its for_s window
     "alert_resolve",    # a firing alert's predicate went false again

@@ -10,6 +10,8 @@ The subsystem turns compiled policies into a served system:
   into one batched predict per flush;
 * :class:`PolicyServer` — the futures-based front door with per-model
   throughput/latency/batch/error metrics;
+* :mod:`repro.serve.kernels` — the tier's compile thread: a published
+  tree serves at once and its native kernel attaches when ready;
 * :class:`TrafficSplitter` — registry-layer canary routing and shadow
   mirroring for staged rollouts;
 * :class:`AdaptiveDelay` — load-aware microbatch flush deadlines;

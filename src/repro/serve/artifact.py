@@ -26,6 +26,7 @@ or an arbitrary batch function.
 from __future__ import annotations
 
 import hashlib
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence
 
@@ -259,15 +260,22 @@ class PolicyArtifact:
         return cls.from_teacher(policy, n_features, name=name)
 
     # -- compiled backend ------------------------------------------------
-    def compile_native(self) -> bool:
-        """Eagerly compile/load this artifact's native kernel.
+    def compile_native(self, compile: bool = True,
+                       cancel: Optional[threading.Event] = None) -> bool:
+        """Attach this artifact's native kernel and record the outcome
+        in ``meta["kernel"]``; returns whether a kernel is attached.
 
-        Called at ``ModelRegistry.publish`` time so compilation never
-        lands on the serve hot path.  Best-effort by contract: a
-        missing compiler or failed compile records the reason in
-        ``meta["kernel"]`` (the provenance the cluster handle ships to
-        workers) and returns False — the artifact keeps serving through
-        the numpy backend.  Never raises.
+        Loads the kernel from the cache, or compiles it when ``compile``
+        is set.  A serving tier's compile thread
+        (:class:`repro.serve.kernels.KernelCompiler`) calls this off the
+        publish path, and at publish only forced ``native`` mode does,
+        because that mode's contract is every predict through the
+        kernel.  A cache miss with ``compile`` unset, or a compile
+        stopped through ``cancel``, records nothing: the kernel may
+        still be on its way.  Best-effort by contract: a missing
+        compiler or failed compile records ``status: "unavailable"``
+        with the reason and returns False — the artifact keeps serving
+        through the numpy backend.  Never raises.
         """
         if self.flat is None:
             return False
@@ -275,19 +283,18 @@ class PolicyArtifact:
             if native.backend_mode() == "numpy":
                 self.meta["kernel"] = {"status": "disabled"}
                 return False
-            if self.flat._native is not None:
-                return True  # already attached (repeat publish)
-            kernel = self.flat.native_kernel(compile=True)
+            kernel = self.flat.native_kernel(compile=compile, cancel=cancel)
         except Exception as exc:  # noqa: BLE001 - publish must survive
             self.meta["kernel"] = {
                 "status": "unavailable", "error": str(exc),
             }
             return False
         if kernel is None:
-            self.meta["kernel"] = {
-                "status": "unavailable",
-                "error": native.last_error() or "unknown",
-            }
+            if compile and not (cancel is not None and cancel.is_set()):
+                self.meta["kernel"] = {
+                    "status": "unavailable",
+                    "error": native.last_error() or "unknown",
+                }
             return False
         self.meta["kernel"] = {
             "status": "ready",

@@ -63,6 +63,7 @@ shadow answers that never reach a client future.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import multiprocessing as mp
@@ -753,7 +754,10 @@ class ShardedPolicyService(PolicyServer):
         replicas.
         """
         with self._control_lock:
-            return self._publish_locked(name, artifact, alias)
+            return self._kernels.publish(
+                name, artifact,
+                lambda: self._publish_locked(name, artifact, alias),
+            )
 
     def _publish_locked(
         self,
@@ -761,6 +765,16 @@ class ShardedPolicyService(PolicyServer):
         artifact: PolicyArtifact,
         alias: Optional[str],
     ) -> int:
+        """Mirror, share and broadcast one publish (the caller holds the
+        control lock).
+
+        Compiles nothing: the handle carries ``meta["kernel"]`` as the
+        tier's publish left it — ``ready`` when the kernel was already
+        cached (or forced ``native`` mode compiled it inline), so each
+        shard dlopens the cached ``.so`` as it loads the version, or
+        ``compiling``, so the shards serve through numpy until the
+        compile thread's ``kernel`` op (:meth:`_kernel_settled`).
+        """
         # Build the shard payload *before* the parent mirror publishes:
         # a pickle or share_artifact failure (e.g. /dev/shm exhausted)
         # after the mirror write would leave a phantom parent version
@@ -782,16 +796,6 @@ class ShardedPolicyService(PolicyServer):
                     f"not pickle ({exc})"
                 ) from exc
         else:
-            # Compile the native kernel *before* the handle snapshots
-            # ``meta`` — the kernel provenance (hash, compiler, flags)
-            # must ride to the workers, whose own publish-time compile
-            # hook then dlopens the cached binary instead of paying a
-            # second compile.  Best-effort: no compiler just means the
-            # fleet serves through numpy.
-            try:
-                artifact.compile_native()
-            except Exception:  # noqa: BLE001 - publish must not fail
-                pass
             payload, shm = share_artifact(artifact)
         try:
             version = self.registry.publish(name, artifact)
@@ -853,6 +857,32 @@ class ShardedPolicyService(PolicyServer):
         if alias is not None:
             self._alias_locked(alias, name, None)
         return version
+
+    def _kernel_settled(self, name: str, version: int,
+                        artifact: PolicyArtifact) -> None:
+        """Tell every live shard that ``name@version``'s kernel has
+        settled (called on the compile thread).
+
+        Sent with the tolerant broadcast — a shard that misses it
+        serves correct answers through numpy — and only while the
+        version still serves this artifact, so a version retired or
+        rolled back mid-compile gets no ``kernel`` op.  It needs no
+        control-log entry of its own: the logged publish handle takes
+        the settled ``meta["kernel"]``, and a replica replaying it
+        dlopens the cached ``.so`` as it loads the version.
+        """
+        kernel = dict(artifact.meta.get("kernel") or {})
+        with self._control_lock:
+            if self._closed or not self._kernels.serves(
+                    name, version, artifact):
+                return
+            for entry in self._control_log:
+                if entry[:2] == ["publish", name] and entry[3] == version:
+                    handle = entry[2]
+                    entry[2] = dataclasses.replace(
+                        handle, meta=dict(handle.meta, kernel=kernel))
+                    break
+            self._broadcast_tolerant("kernel", (name, version, kernel))
 
     def _replicate(self, op: str, payload: Any) -> None:
         """Log one mirror change for replay and apply it on every live

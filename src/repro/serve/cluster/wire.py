@@ -61,7 +61,7 @@ OPS = (
     "publish", "publish_tombstone", "rollback_publish", "alias",
     "retire", "predict", "set_split", "clear_split", "metrics",
     "shadow_report", "describe", "ping", "stop", "backend_report",
-    "metrics_snapshot", "events_since", "capture_drain",
+    "metrics_snapshot", "events_since", "capture_drain", "kernel",
 )
 _OP_CODES = {op: index + 1 for index, op in enumerate(OPS)}
 _CODE_OPS = {code: op for op, code in _OP_CODES.items()}

@@ -28,7 +28,9 @@ Ops (see :data:`repro.serve.cluster.wire.OPS`): ``publish``,
 ``shadow_report``, ``describe``, ``ping``, ``stop``,
 ``backend_report`` (native-kernel vs numpy serving counters per model),
 ``metrics_snapshot`` (the worker hub's labeled series, pulled by the
-parent's ``/metrics`` scrape and re-labeled per shard),
+parent's ``/metrics`` scrape and re-labeled per shard), ``kernel`` (the
+parent's compile thread settled a version's native kernel: dlopen it
+from the cache — workers never compile),
 ``events_since`` (incremental drain of the worker's event journal,
 merged into the parent's under a ``shard`` label), ``capture_drain``
 (incremental drain of the worker's sampled trace-capture ring — same
@@ -55,6 +57,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.tree import native
 from repro.serve.batcher import (
     ERR_BAD_OUTPUT,
     ERR_BAD_SHAPE,
@@ -225,6 +228,29 @@ def serve_stacked(
             "kernel_s": kernel_s}
 
 
+def _attach_cached_kernel(artifact: Any, settled: bool) -> None:
+    """Attach the kernel the parent compiled, from the cache; a worker
+    never runs the compiler.
+
+    ``meta["kernel"]`` is the parent's view.  While the parent still
+    compiles (``compiling``, not ``settled``) a cache miss just keeps
+    numpy serving until the ``kernel`` op.  Otherwise a miss is final:
+    the tree is marked kernel-less, so forced ``native`` mode cannot
+    compile lazily here and its numpy rows count as fallback.
+    """
+    if artifact.flat is None or artifact.compile_native(compile=False):
+        return
+    status = (artifact.meta.get("kernel") or {}).get("status")
+    if status == "disabled" or (status == "compiling" and not settled):
+        return
+    artifact.flat.attach_kernel(None)
+    if status != "unavailable":
+        artifact.meta["kernel"] = {
+            "status": "unavailable",
+            "error": "no loadable kernel in the cache",
+        }
+
+
 class WorkerCore:
     """One shard's replica state plus the frame-in/frame-out dispatch.
 
@@ -258,9 +284,7 @@ class WorkerCore:
         )
         self.registry.journal = self.journal
         self.splitter.journal = self.journal
-        from repro.core.tree import native
-
-        native.set_event_hook(self.journal.emit)
+        native.add_event_hook(self.journal.emit)
         register_serving_collectors(self.hub, splitter=self.splitter)
         self._m_traced = self.hub.counter(
             "repro_worker_traced_requests_total",
@@ -340,10 +364,19 @@ class WorkerCore:
             # reconstruct a pre-existing alias target.
             name, packed = payload
             artifact, shm = self._load_artifact(packed)
+            _attach_cached_kernel(artifact, settled=False)
             version = registry.publish(name, artifact)
             if shm is not None:
                 segments[(name, version)] = shm
             return version
+        if op == "kernel":
+            # The parent's compile thread settled this version's
+            # kernel: load it from the cache it compiled into.
+            name, version, kernel = payload
+            artifact = registry.resolve(f"{name}@{version}").artifact
+            artifact.meta["kernel"] = dict(kernel)
+            _attach_cached_kernel(artifact, settled=True)
+            return artifact.meta["kernel"].get("status")
         if op == "rollback_publish":
             name, version = payload
             registry.rollback_publish(name, version)

@@ -99,22 +99,17 @@ class ModelRegistry:
         Returns the new version number.  Existing versions are never
         mutated or removed, so an in-flight batch holding version ``k``
         keeps serving exactly what ``k`` was.
+
+        The registry only records the version: it compiles nothing.  A
+        serving tier's publish attaches the tree's native kernel (see
+        :class:`repro.serve.kernels.KernelCompiler`); an artifact
+        published here directly serves through whatever kernel its
+        tree already has, or through numpy.
         """
         if not name or "@" in name:
             raise ValueError("model names must be non-empty and free of '@'")
         if not isinstance(artifact, PolicyArtifact):
             raise TypeError("only PolicyArtifact instances can be published")
-        # Eager native-kernel compile, outside the lock (a compile is
-        # ~100ms; resolves must not stall behind it).  Publish time is
-        # the one moment compilation is allowed to cost anything — the
-        # serve hot path only ever dlopens a cached kernel or falls
-        # back to numpy.  Best-effort: compile_native never raises, and
-        # the extra guard keeps publish alive even if it somehow does.
-        if artifact.flat is not None:
-            try:
-                artifact.compile_native()
-            except Exception:  # noqa: BLE001 - publish must not fail
-                pass
         with self._lock:
             if name in self._aliases:
                 raise ValueError(f"{name!r} is an alias, not a model name")
@@ -396,8 +391,7 @@ def registry_backend_report(registry: ModelRegistry) -> Dict[str, Any]:
             "versions": {},
         }
         tree_backed = False
-        kernel_ready = False
-        kernel_disabled = False
+        statuses = set()
         for version in versions:
             try:
                 artifact = registry.resolve(f"{name}@{version}").artifact
@@ -408,28 +402,28 @@ def registry_backend_report(registry: ModelRegistry) -> Dict[str, Any]:
                 entry["versions"][str(version)] = None
                 continue
             tree_backed = True
-            kernel = stats.get("kernel") or {}
-            kernel_ready = kernel_ready or kernel.get("status") == "ready"
-            kernel_disabled = (
-                kernel_disabled or kernel.get("status") == "disabled"
-            )
+            statuses.add((stats.get("kernel") or {}).get("status"))
             entry["versions"][str(version)] = stats
             for key in ("native_rows", "numpy_rows", "fallback_rows"):
                 entry[key] += int(stats.get(key, 0))
         # The label answers "what serves this model's traffic":
         # numpy-only (no flat arrays to compile), native (a compiled
-        # kernel is attached), numpy (the operator pinned
-        # REPRO_TREE_BACKEND=numpy at publish — by choice, not
-        # degradation), or numpy-fallback (tree-backed, wanted a
+        # kernel is attached), compiling (numpy serves while the
+        # tier's compile thread builds the kernel — a healthy publish,
+        # not a degradation), numpy-fallback (tree-backed, wanted a
         # kernel, could not get one — the row counters say how much
-        # traffic that cost).
+        # traffic that cost), or numpy (the operator pinned
+        # REPRO_TREE_BACKEND=numpy at publish, or no serving tier
+        # published it — by choice, not degradation).
         if not tree_backed:
             entry["backend"] = "numpy-only"
-        elif kernel_ready:
+        elif "ready" in statuses:
             entry["backend"] = "native"
-        elif kernel_disabled:
-            entry["backend"] = "numpy"
-        else:
+        elif "compiling" in statuses:
+            entry["backend"] = "compiling"
+        elif "unavailable" in statuses:
             entry["backend"] = "numpy-fallback"
+        else:
+            entry["backend"] = "numpy"
         report[name] = entry
     return report

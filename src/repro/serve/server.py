@@ -21,6 +21,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.core.tree import native as _native
 from repro.obs.events import EventJournal
 from repro.obs.metrics import LogHistogram, MetricsHub, render_text
 from repro.obs.postmortem import FlightRecorder
@@ -28,6 +29,7 @@ from repro.obs.trace import Tracer
 from repro.serve.adaptive import AdaptiveDelay, batching_state
 from repro.serve.artifact import PolicyArtifact
 from repro.serve.batcher import MicroBatcher, ServeResult
+from repro.serve.kernels import KernelCompiler
 from repro.serve.registry import ModelRegistry
 from repro.serve.splitter import (
     TrafficSplit,
@@ -383,14 +385,12 @@ def register_serving_collectors(
     ) if splitter is not None else None
 
     def collect() -> None:
-        from repro.core.tree import native
-
         if g_queue is not None:
             g_queue.set(batcher.queue_depth())
         if delay is not None:
             g_fill.set(delay.fill)
             g_delay.set(delay.current())
-        for event, value in native.native_stats().items():
+        for event, value in _native.native_stats().items():
             if isinstance(value, (int, float)):
                 c_native.labels(event=event).value = float(value)
         if splitter is not None:
@@ -462,8 +462,7 @@ class PolicyServer:
         postmortem_dir: Optional[str] = None,
     ) -> None:
         # Lifecycle state first: close() must work on a tier whose
-        # construction failed part-way (the cluster closes itself when
-        # a shard fails to start).
+        # construction failed part-way.
         self.health = None
         self.online = None
         self.exporter = None
@@ -471,52 +470,71 @@ class PolicyServer:
         #: :meth:`start_online`).
         self.capture = None
         self._batcher: Optional[MicroBatcher] = None
+        self._kernels: Optional[KernelCompiler] = None
+        self._event_hook = None
         self._closed = False
         self._close_lock = threading.Lock()
-        self.registry = registry if registry is not None else ModelRegistry()
-        self.hub = MetricsHub()
-        self.tracer = Tracer(sample_rate=trace_sample)
-        #: Structured flight log (see :mod:`repro.obs.events`): every
-        #: publish/alias/split/fallback transition lands here, readable
-        #: via :meth:`events` and the exporter's ``/events`` endpoint.
-        self.journal = EventJournal(hub=self.hub)
-        self._metrics = ServerMetrics(hub=self.hub)
-        self.splitter = TrafficSplitter(seed=split_seed)
-        # Control-plane emitters write through this server's journal.
-        # (A registry shared across servers journals into whichever
-        # server attached last — acceptable: the journal is a
-        # diagnostic stream, not a consistency surface.)
-        self.registry.journal = self.journal
-        self.splitter.journal = self.journal
-        from repro.core.tree import native as _native
-
-        _native.set_event_hook(self.journal.emit)
-        # Serializes control-plane mutation (alias / retire / splits,
-        # and on the cluster publish and scaling) and its replication:
-        # the retire guard is check-then-act over the split table, and
-        # interleaved broadcasts would diverge the cluster's replicas.
-        self._control_lock = threading.Lock()
-        self.delay = (
-            AdaptiveDelay(max_delay_s=max_delay_s) if adaptive_delay
-            else None
-        )
-        #: Black-box capture (disabled unless a directory is
-        #: configured); the health monitor triggers it on
-        #: page-severity alerts.
-        self.recorder = FlightRecorder(
-            directory=postmortem_dir,
-            journal=self.journal,
-            metrics_fn=self.render_metrics,
-            tracer=self.tracer,
-            state_fn=self._blackbox_state,
-        )
-        self._batcher = self._start_batcher(max_batch, max_delay_s)
-        register_serving_collectors(
-            self.hub, batcher=self._batcher, delay=self.delay,
-            splitter=self.splitter,
-        )
-        if exporter_port is not None:
-            self.start_exporter(port=exporter_port)
+        try:
+            self.registry = (registry if registry is not None
+                             else ModelRegistry())
+            self.hub = MetricsHub()
+            self.tracer = Tracer(sample_rate=trace_sample)
+            #: Structured flight log (see :mod:`repro.obs.events`):
+            #: every publish/alias/split/fallback transition lands here,
+            #: readable via :meth:`events` and the exporter's
+            #: ``/events`` endpoint.
+            self.journal = EventJournal(hub=self.hub)
+            self._metrics = ServerMetrics(hub=self.hub)
+            self.splitter = TrafficSplitter(seed=split_seed)
+            # Control-plane emitters write through this server's
+            # journal.  (A registry shared across servers journals into
+            # whichever server attached last — acceptable: the journal
+            # is a diagnostic stream, not a consistency surface.)
+            self.registry.journal = self.journal
+            self.splitter.journal = self.journal
+            # Kernel fallbacks reach the newest live tier's journal;
+            # close() hands them back to the tier installed before.
+            self._event_hook = self.journal.emit
+            _native.add_event_hook(self._event_hook)
+            #: The one place this tier compiles published trees'
+            #: kernels, off the publish path (see
+            #: :mod:`repro.serve.kernels`).
+            self._kernels = KernelCompiler(
+                self.registry, self.journal,
+                on_settled=self._kernel_settled,
+            )
+            # Serializes control-plane mutation (alias / retire /
+            # splits, and on the cluster publish and scaling) and its
+            # replication: the retire guard is check-then-act over the
+            # split table, and interleaved broadcasts would diverge the
+            # cluster's replicas.
+            self._control_lock = threading.Lock()
+            self.delay = (
+                AdaptiveDelay(max_delay_s=max_delay_s) if adaptive_delay
+                else None
+            )
+            #: Black-box capture (disabled unless a directory is
+            #: configured); the health monitor triggers it on
+            #: page-severity alerts.
+            self.recorder = FlightRecorder(
+                directory=postmortem_dir,
+                journal=self.journal,
+                metrics_fn=self.render_metrics,
+                tracer=self.tracer,
+                state_fn=self._blackbox_state,
+            )
+            self._batcher = self._start_batcher(max_batch, max_delay_s)
+            register_serving_collectors(
+                self.hub, batcher=self._batcher, delay=self.delay,
+                splitter=self.splitter,
+            )
+            if exporter_port is not None:
+                self.start_exporter(port=exporter_port)
+        except BaseException:
+            # The caller never gets an object to close(): stop what
+            # already started (the batcher thread) before raising.
+            self.close()
+            raise
 
     def _start_batcher(self, max_batch: int,
                        max_delay_s: float) -> MicroBatcher:
@@ -535,7 +553,8 @@ class PolicyServer:
 
     def _stop_batcher(self) -> None:
         """Drain the batcher: every accepted request completes."""
-        self._batcher.close()
+        if self._batcher is not None:
+            self._batcher.close()
 
     # -- control plane ---------------------------------------------------
     def _replicate(self, op: str, payload: Any) -> None:
@@ -548,6 +567,13 @@ class PolicyServer:
         broadcasts it to every shard.
         """
 
+    def _kernel_settled(self, name: str, version: int,
+                        artifact: PolicyArtifact) -> None:
+        """Called on the compile thread once ``name@version``'s kernel
+        is attached or known unavailable.  In process the batcher
+        already serves the artifact this thread attached it to; the
+        cluster tells its shards to load the kernel."""
+
     def publish(
         self,
         name: str,
@@ -555,11 +581,26 @@ class PolicyServer:
         alias: Optional[str] = None,
     ) -> int:
         """Publish a new version (and optionally alias it); hot-swaps
-        live traffic at the next batch flush."""
-        version = self.registry.publish(name, artifact)
+        live traffic at the next batch flush.
+
+        The version serves at once.  A tree whose native kernel is not
+        in the cache serves through numpy until this tier's compile
+        thread attaches the kernel (:meth:`wait_kernels` waits for
+        that); under ``REPRO_TREE_BACKEND=native`` publish compiles it
+        inline instead.
+        """
+        version = self._kernels.publish(
+            name, artifact, lambda: self.registry.publish(name, artifact)
+        )
         if alias is not None:
             self.alias(alias, name)
         return version
+
+    def wait_kernels(self, timeout_s: float = 60.0) -> bool:
+        """Block until every published tree's kernel has settled —
+        attached, or known unavailable — so what follows is timed on
+        steady-state serving.  False on timeout."""
+        return self._kernels.wait(timeout_s)
 
     def alias(
         self, alias: str, target: str, version: Optional[int] = None
@@ -708,12 +749,11 @@ class PolicyServer:
         corrupt cache — shows up as ``fallback_rows`` plus a
         ``last_error``.
         """
-        from repro.core.tree import native
         from repro.serve.registry import registry_backend_report
 
         return {
             "models": registry_backend_report(self.registry),
-            "native": native.native_stats(),
+            "native": _native.native_stats(),
         }
 
     def batching_state(self) -> Dict[str, Any]:
@@ -859,15 +899,20 @@ class PolicyServer:
     def close(self) -> None:
         """Drain and stop; every submitted request still completes.
 
-        The online loop and the health monitor stop first, so nothing
-        acts on the tier while :meth:`_stop_batcher` drains it; the
-        exporter goes last.  Idempotent, and best effort past a part
-        that fails to close.
+        The compile thread stops first (a compile in flight is killed),
+        then the online loop and the health monitor, so nothing acts on
+        the tier while :meth:`_stop_batcher` drains it; the exporter
+        goes last.  Idempotent, and best effort past a part that fails
+        to close.
         """
         with self._close_lock:
             if self._closed:
                 return
             self._closed = True
+        if self._kernels is not None:
+            self._kernels.close()
+        if self._event_hook is not None:
+            _native.remove_event_hook(self._event_hook)
         if self.online is not None:
             _close_quietly(self.online)
             self.online = None

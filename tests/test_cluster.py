@@ -192,6 +192,7 @@ class TestShardedService:
         from repro.core.tree import native
 
         _, x = toy
+        assert service.wait_kernels(60)
         service.predict("toy", x)
         report = service.cluster_metrics()["backend"]
         assert set(report["per_shard"]) == {"0", "1"}

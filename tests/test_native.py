@@ -356,15 +356,23 @@ def _fresh_artifact(tree) -> PolicyArtifact:
     )
 
 
+def _publish_settled(art, name="toy") -> ModelRegistry:
+    """Publish through a serving tier, wait for its compile thread to
+    settle the kernel, and hand back the tier's registry."""
+    with PolicyServer() as server:
+        server.publish(name, art)
+        assert server.wait_kernels(60)
+        return server.registry
+
+
 class TestServeIntegration:
     """Publish-time compilation, provenance, and the backend report."""
 
     @needs_cc
     def test_publish_compiles_and_records_provenance(self, fitted):
         tree, _ = fitted
-        registry = ModelRegistry()
         art = _fresh_artifact(tree)
-        registry.publish("toy", art)
+        _publish_settled(art)
         kernel_meta = art.meta["kernel"]
         assert kernel_meta["status"] == "ready"
         assert kernel_meta["hash"] == native.kernel_hash(tree.flat)
@@ -376,7 +384,7 @@ class TestServeIntegration:
         tree, _ = fitted
         monkeypatch.setenv("REPRO_TREE_BACKEND", "numpy")
         art = _fresh_artifact(tree)
-        ModelRegistry().publish("toy", art)
+        _publish_settled(art)
         assert art.meta["kernel"] == {"status": "disabled"}
         assert native.native_stats().get("compiles", 0) == 0
 
@@ -385,9 +393,8 @@ class TestServeIntegration:
     ):
         tree, x = fitted
         monkeypatch.setattr(native, "find_compiler", lambda: None)
-        registry = ModelRegistry()
         art = _fresh_artifact(tree)
-        registry.publish("toy", art)  # must not raise
+        registry = _publish_settled(art)  # must not raise
         assert art.meta["kernel"]["status"] == "unavailable"
         assert "compiler" in art.meta["kernel"]["error"]
         assert np.array_equal(art.predict_batch(x), tree.predict(x))
@@ -399,6 +406,7 @@ class TestServeIntegration:
         tree, x = fitted
         with PolicyServer(max_batch=64, max_delay_s=1e-4) as server:
             server.publish("toy", _fresh_artifact(tree))
+            assert server.wait_kernels(60)
             for row in x[:32]:
                 assert server.submit("toy", row).result(10).ok
             report = server.backend_report()
